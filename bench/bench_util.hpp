@@ -330,96 +330,17 @@ inline void write_encoder_bench_json(const std::string& path,
                 legacy.jobs.size());
 }
 
-/// BENCH_extraction.json: fresh vs in-place key extraction on the same job
-/// matrix. Per-job rows carry the extraction telemetry (in-place solves,
-/// re-encode work avoided, agreement-only growth check inputs); the
-/// headline geomeans cover the settlement-heavy AppSAT axis and the whole
-/// matrix. Wall-clock fields are measured, not byte-reproducible.
-inline void write_extraction_bench_json(
-    const std::string& path, const std::vector<std::string>& labels,
-    const engine::CampaignResult& fresh, const engine::CampaignResult& inplace,
-    double appsat_speedup_geomean, double wall_speedup_geomean) {
-    JsonWriter w;
-    w.begin_object();
-    w.key("bench");
-    w.value("extraction");
-    w.key("jobs");
-    w.value(static_cast<std::uint64_t>(fresh.jobs.size()));
-    w.key("modes");
-    w.begin_array();
-    const engine::CampaignResult* campaigns[2] = {&fresh, &inplace};
-    const char* names[2] = {"fresh", "inplace"};
-    for (int m = 0; m < 2; ++m) {
-        const engine::CampaignResult& campaign = *campaigns[m];
-        w.begin_object();
-        w.key("mode");
-        w.value(names[m]);
-        w.key("wall_seconds");
-        w.value(campaign.wall_seconds);
-        w.key("jobs");
-        w.begin_array();
-        for (std::size_t i = 0; i < campaign.jobs.size(); ++i) {
-            const engine::JobResult& j = campaign.jobs[i];
-            const auto& es = j.result.encoder_stats;
-            w.begin_object();
-            if (i < labels.size()) {
-                w.key("label");
-                w.value(labels[i]);
-            }
-            w.key("attack");
-            w.value(j.attack);
-            w.key("status");
-            w.value(status_cell(j));
-            w.key("iterations");
-            w.value(static_cast<std::uint64_t>(j.result.iterations));
-            w.key("attack_seconds");
-            w.value(j.result.seconds);
-            w.key("vars");
-            w.value(es.vars);
-            w.key("clauses");
-            w.value(es.clauses);
-            w.key("agreements");
-            w.value(es.agreements);
-            w.key("agreement_vars");
-            w.value(es.agreement_vars);
-            w.key("agreement_clauses");
-            w.value(es.agreement_clauses);
-            w.key("inplace_extractions");
-            w.value(j.result.inplace_extractions);
-            w.key("reencode_vars_avoided");
-            w.value(j.result.reencode_vars_avoided);
-            w.key("reencode_clauses_avoided");
-            w.value(j.result.reencode_clauses_avoided);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-    }
-    w.end_array();
-    w.key("appsat_speedup_geomean");
-    w.value(appsat_speedup_geomean);
-    w.key("wall_speedup_geomean");
-    w.value(wall_speedup_geomean);
-    w.end_object();
-    write_text_file(path, w.str() + "\n");
-    std::printf("wrote %s (%zu jobs x 2 modes)\n", path.c_str(),
-                fresh.jobs.size());
-}
-
 /// BENCH_sim.json: the levelized bit-sliced simulation engine ablation.
 /// Per-circuit rows pair deterministic plan counters (full vs frontier step
-/// counts, support input counts — the gating metrics) with measured sweep
-/// timings (reference walk vs plan kernel, single- vs multi-word, full vs
-/// cone-restricted per-DIP sweeps — trajectory data, never gated). The
-/// optional dip-support section carries a full-vs-cone campaign on the same
-/// matrix. Wall-clock fields are measured, not byte-reproducible; the
-/// counter fields are.
+/// counts — the gating metric) with measured sweep timings (reference walk
+/// vs plan kernel, single- vs multi-word, full vs cone-restricted per-DIP
+/// sweeps — trajectory data, never gated). Wall-clock fields are measured,
+/// not byte-reproducible; the counter fields are.
 struct SimCircuitSummary {
     std::string name;
     std::uint64_t gates = 0;
     std::uint64_t camo_cells = 0;
     std::uint64_t inputs = 0;
-    std::uint64_t support_inputs = 0;   ///< PIs the cone mode keeps free
     std::uint64_t full_steps = 0;       ///< full SimPlan steps
     std::uint64_t frontier_steps = 0;   ///< cone-restricted sub-plan steps
     double reference_sweep_s = 0.0;     ///< per 64-pattern reference walk
@@ -435,10 +356,7 @@ inline void write_sim_bench_json(const std::string& path,
                                  double step_reduction_geomean,
                                  double kernel_speedup_geomean,
                                  double multiword_speedup_geomean,
-                                 double cone_speedup_geomean,
-                                 const std::vector<std::string>& labels,
-                                 const engine::CampaignResult& support_full,
-                                 const engine::CampaignResult& support_cone) {
+                                 double cone_speedup_geomean) {
     JsonWriter w;
     w.begin_object();
     w.key("bench");
@@ -455,8 +373,6 @@ inline void write_sim_bench_json(const std::string& path,
         w.value(c.camo_cells);
         w.key("inputs");
         w.value(c.inputs);
-        w.key("support_inputs");
-        w.value(c.support_inputs);
         w.key("full_steps");
         w.value(c.full_steps);
         w.key("frontier_steps");
@@ -484,40 +400,6 @@ inline void write_sim_bench_json(const std::string& path,
     w.value(multiword_speedup_geomean);
     w.key("cone_speedup_geomean");
     w.value(cone_speedup_geomean);
-    w.key("dip_support_modes");
-    w.begin_array();
-    const engine::CampaignResult* campaigns[2] = {&support_full, &support_cone};
-    const char* names[2] = {"full", "cone"};
-    for (int m = 0; m < 2; ++m) {
-        const engine::CampaignResult& campaign = *campaigns[m];
-        w.begin_object();
-        w.key("mode");
-        w.value(names[m]);
-        w.key("wall_seconds");
-        w.value(campaign.wall_seconds);
-        w.key("jobs");
-        w.begin_array();
-        for (std::size_t i = 0; i < campaign.jobs.size(); ++i) {
-            const engine::JobResult& j = campaign.jobs[i];
-            w.begin_object();
-            if (i < labels.size()) {
-                w.key("label");
-                w.value(labels[i]);
-            }
-            w.key("status");
-            w.value(status_cell(j));
-            w.key("iterations");
-            w.value(static_cast<std::uint64_t>(j.result.iterations));
-            w.key("oracle_patterns");
-            w.value(j.result.oracle_patterns);
-            w.key("attack_seconds");
-            w.value(j.result.seconds);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-    }
-    w.end_array();
     w.end_object();
     write_text_file(path, w.str() + "\n");
     std::printf("wrote %s (%zu circuits)\n", path.c_str(), circuits.size());

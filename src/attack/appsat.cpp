@@ -23,27 +23,16 @@ AttackResult appsat_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
         return res;
     }
 
-    const auto extraction = detail::resolve_extraction_mode(base);
     const std::unique_ptr<sat::SolverBackend> solver_ptr =
         detail::make_attack_solver(base);
     sat::SolverBackend& solver = *solver_ptr;
     sat::CircuitEncoder encoder(solver, detail::resolve_encoder_mode(base));
     const auto enc1 = encoder.encode(camo_nl);
     const auto enc2 = encoder.encode(camo_nl, enc1.pis);
-    // Fresh keeps the historical unconditional difference; inplace routes it
-    // through a selector so settlement extraction is one assumption solve on
-    // this same solver instead of a fresh-solver history replay (the path
-    // that made settlement quadratic in history length).
-    std::optional<sat::Lit> guard;
-    if (extraction == attack::ExtractionMode::Inplace) {
-        guard = sat::Lit(solver.new_var(), false);
-        encoder.add_difference(enc1.outs, enc2.outs, *guard);
-    } else {
-        encoder.add_difference(enc1.outs, enc2.outs);
-    }
-    detail::apply_dip_support(solver, camo_nl, enc1.pis, base);
-    const std::vector<sat::Lit> assumptions =
-        guard ? std::vector<sat::Lit>{*guard} : std::vector<sat::Lit>{};
+    // The difference rides a selector literal, so settlement extraction is
+    // one assumption solve under {~guard} on this same solver.
+    const sat::Lit guard(solver.new_var(), false);
+    encoder.add_difference(enc1.outs, enc2.outs, guard);
 
     netlist::Simulator sim(camo_nl);
     Rng sample_rng(options.sample_seed);
@@ -65,14 +54,14 @@ AttackResult appsat_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
         }
         detail::set_remaining_budget(solver, base, timer);
 
-        const auto r = solver.solve(assumptions);
+        const auto r = solver.solve({guard});
         if (r == sat::SolveResult::Unknown) {
             res.status = AttackResult::Status::TimedOut;
             break;
         }
         if (r == sat::SolveResult::Unsat) {
-            detail::finish_by_extraction(res, camo_nl, history, base, timer,
-                                         solver, enc1.keys, guard);
+            detail::finish_by_extraction(res, base, timer, solver, enc1.keys,
+                                         guard);
             break;
         }
 
@@ -84,18 +73,11 @@ AttackResult appsat_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
         // Settlement: estimate the candidate key's error on random queries.
         if (res.iterations % options.settle_every != 0) continue;
         bool timed_out = false;
-        const auto candidate =
-            guard ? detail::extract_inplace(solver, enc1.keys, *guard, base,
-                                            timer, &timed_out, res)
-                  : detail::extract_consistent_key(camo_nl, history, base,
-                                                   timer, &timed_out,
-                                                   &res.encoder_stats);
+        const auto candidate = detail::extract_inplace(
+            solver, enc1.keys, guard, base, timer, timed_out, res);
         if (!candidate) {
-            if (timed_out) {
-                res.status = AttackResult::Status::TimedOut;
-                break;
-            }
-            res.status = AttackResult::Status::Inconsistent;
+            res.status = timed_out ? AttackResult::Status::TimedOut
+                                   : AttackResult::Status::Inconsistent;
             break;
         }
         const auto fns = camo::functions_for_key(camo_nl, *candidate);

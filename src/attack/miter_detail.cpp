@@ -28,40 +28,6 @@ sat::EncoderMode resolve_encoder_mode(const AttackOptions& options) {
     return resolve_encoder_mode(options.encoder);
 }
 
-ExtractionMode resolve_extraction_mode(const std::string& name) {
-    if (const auto mode = extraction_mode_from_name(name)) return *mode;
-    std::string msg = "unknown extraction '" + name + "'; known extractions:";
-    for (const std::string& n : extraction_mode_names()) msg += " " + n;
-    throw std::invalid_argument(msg);
-}
-
-ExtractionMode resolve_extraction_mode(const AttackOptions& options) {
-    return resolve_extraction_mode(options.extraction);
-}
-
-DipSupportMode resolve_dip_support_mode(const std::string& name) {
-    if (const auto mode = dip_support_mode_from_name(name)) return *mode;
-    std::string msg = "unknown dip-support '" + name + "'; known dip-supports:";
-    for (const std::string& n : dip_support_mode_names()) msg += " " + n;
-    throw std::invalid_argument(msg);
-}
-
-DipSupportMode resolve_dip_support_mode(const AttackOptions& options) {
-    return resolve_dip_support_mode(options.dip_support);
-}
-
-void apply_dip_support(sat::SolverBackend& solver,
-                       const netlist::Netlist& camo_nl,
-                       const std::vector<sat::Var>& pis,
-                       const AttackOptions& options) {
-    if (resolve_dip_support_mode(options) != DipSupportMode::Cone) return;
-    const std::vector<char>& support = camo_nl.key_support();
-    const std::vector<netlist::GateId>& inputs = camo_nl.inputs();
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-        if (support[inputs[i]] == 0)
-            solver.add_clause(sat::Lit(pis[i], true));  // pin to 0
-}
-
 void capture_solver_identity(AttackResult& res,
                              const sat::SolverBackend& solver) {
     res.portfolio_width = solver.portfolio_width();
@@ -82,52 +48,14 @@ std::vector<bool> model_values(const sat::SolverBackend& solver,
     return out;
 }
 
-std::optional<camo::Key> extract_consistent_key(const netlist::Netlist& nl,
-                                                const History& history,
-                                                const AttackOptions& options,
-                                                const Timer& timer,
-                                                bool* timed_out,
-                                                sat::EncoderStats* stats) {
-    if (timed_out != nullptr) *timed_out = false;
-    const std::unique_ptr<sat::SolverBackend> solver =
-        make_attack_solver(options);
-    sat::CircuitEncoder encoder(*solver, resolve_encoder_mode(options));
-    // One free copy creates the key variables together with their
-    // valid-code constraints. The history replays through the batched
-    // agreement API: the clause stream is identical to per-entry calls, but
-    // the compact encoder's simulation sweeps run 64 entries at a time.
-    const sat::Encoding enc = encoder.encode(nl);
-    encoder.add_agreement_batch(nl, {enc.keys}, history.inputs,
-                                history.outputs);
-    if (stats != nullptr) sat::accumulate(*stats, encoder.stats());
-
-    set_remaining_budget(*solver, options, timer);
-    switch (solver->solve()) {
-        case sat::SolveResult::Sat: {
-            camo::Key key;
-            key.bits = model_values(*solver, enc.keys);
-            return key;
-        }
-        case sat::SolveResult::Unsat:
-            return std::nullopt;
-        case sat::SolveResult::Unknown:
-            if (timed_out != nullptr) *timed_out = true;
-            return std::nullopt;
-    }
-    return std::nullopt;
-}
-
 std::optional<camo::Key> extract_inplace(sat::SolverBackend& solver,
                                          const std::vector<sat::Var>& keys,
                                          sat::Lit guard,
                                          const AttackOptions& options,
-                                         const Timer& timer, bool* timed_out,
+                                         const Timer& timer, bool& timed_out,
                                          AttackResult& res) {
-    if (timed_out != nullptr) *timed_out = false;
+    timed_out = false;
     ++res.inplace_extractions;
-    res.reencode_vars_avoided += static_cast<std::uint64_t>(solver.num_vars());
-    res.reencode_clauses_avoided +=
-        static_cast<std::uint64_t>(solver.num_clauses());
 
     set_remaining_budget(solver, options, timer);
     switch (solver.solve({~guard})) {
@@ -139,23 +67,18 @@ std::optional<camo::Key> extract_inplace(sat::SolverBackend& solver,
         case sat::SolveResult::Unsat:
             return std::nullopt;
         case sat::SolveResult::Unknown:
-            if (timed_out != nullptr) *timed_out = true;
+            timed_out = true;
             return std::nullopt;
     }
     return std::nullopt;
 }
 
-void finish_by_extraction(AttackResult& res, const netlist::Netlist& nl,
-                          const History& history, const AttackOptions& options,
+void finish_by_extraction(AttackResult& res, const AttackOptions& options,
                           const Timer& timer, sat::SolverBackend& solver,
-                          const std::vector<sat::Var>& keys,
-                          std::optional<sat::Lit> guard) {
+                          const std::vector<sat::Var>& keys, sat::Lit guard) {
     bool timed_out = false;
     const std::optional<camo::Key> key =
-        guard ? extract_inplace(solver, keys, *guard, options, timer,
-                                &timed_out, res)
-              : extract_consistent_key(nl, history, options, timer, &timed_out,
-                                       &res.encoder_stats);
+        extract_inplace(solver, keys, guard, options, timer, timed_out, res);
     if (key) {
         res.status = AttackResult::Status::Success;
         res.key = *key;
@@ -171,7 +94,6 @@ AttackResult run_single_dip_loop(const netlist::Netlist& camo_nl,
                                  std::size_t prior_iterations) {
     AttackResult res;
     res.iterations = prior_iterations;
-    const ExtractionMode extraction = resolve_extraction_mode(options);
 
     const std::unique_ptr<sat::SolverBackend> solver_ptr =
         make_attack_solver(options);
@@ -179,22 +101,13 @@ AttackResult run_single_dip_loop(const netlist::Netlist& camo_nl,
     sat::CircuitEncoder encoder(solver, resolve_encoder_mode(options));
     const auto enc1 = encoder.encode(camo_nl);
     const auto enc2 = encoder.encode(camo_nl, enc1.pis);
-    // Inplace: the difference rides a selector literal, so the one solver
-    // serves both faces of the attack — DIP solves assume {guard}, key
-    // extraction assumes {~guard}. Fresh: the historical unconditional
-    // difference, preserving the recorded clause stream bit for bit.
-    std::optional<sat::Lit> guard;
-    if (extraction == ExtractionMode::Inplace) {
-        guard = sat::Lit(solver.new_var(), false);
-        encoder.add_difference(enc1.outs, enc2.outs, *guard);
-    } else {
-        encoder.add_difference(enc1.outs, enc2.outs);
-    }
-    apply_dip_support(solver, camo_nl, enc1.pis, options);
+    // The difference rides a selector literal, so the one solver serves
+    // both faces of the attack: DIP solves assume {guard}, key extraction
+    // assumes {~guard}.
+    const sat::Lit guard(solver.new_var(), false);
+    encoder.add_difference(enc1.outs, enc2.outs, guard);
     encoder.add_agreement_batch(camo_nl, {enc1.keys, enc2.keys},
                                 history.inputs, history.outputs);
-    const std::vector<sat::Lit> assumptions =
-        guard ? std::vector<sat::Lit>{*guard} : std::vector<sat::Lit>{};
 
     while (true) {
         if (res.iterations >= options.max_iterations) {
@@ -207,15 +120,14 @@ AttackResult run_single_dip_loop(const netlist::Netlist& camo_nl,
         }
         set_remaining_budget(solver, options, timer);
 
-        const auto r = solver.solve(assumptions);
+        const auto r = solver.solve({guard});
         if (r == sat::SolveResult::Unknown) {
             res.status = AttackResult::Status::TimedOut;
             break;
         }
         if (r == sat::SolveResult::Unsat) {
             // No distinguishing input remains: extract any consistent key.
-            finish_by_extraction(res, camo_nl, history, options, timer, solver,
-                                 enc1.keys, guard);
+            finish_by_extraction(res, options, timer, solver, enc1.keys, guard);
             break;
         }
 

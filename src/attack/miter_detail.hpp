@@ -41,8 +41,8 @@ struct History {
     }
     /// Records the pair unless it is an exact duplicate (AppSAT's random
     /// reinforcement can re-draw a pattern across settlement rounds, which
-    /// would re-emit identical agreement CNF on every later extraction).
-    /// Returns whether the pair was new.
+    /// would add identical agreement CNF to the miter again). Returns
+    /// whether the pair was new.
     bool add(std::vector<bool> x, std::vector<bool> y) {
         if (contains(x, y)) return false;
         inputs.push_back(std::move(x));
@@ -65,29 +65,6 @@ sat::EncoderMode resolve_encoder_mode(const std::string& name);
 /// Same, reading AttackOptions::encoder.
 sat::EncoderMode resolve_encoder_mode(const AttackOptions& options);
 
-/// Resolves an extraction-mode name ("fresh"/"inplace") to the enum, with
-/// the same throwing contract.
-ExtractionMode resolve_extraction_mode(const std::string& name);
-/// Same, reading AttackOptions::extraction.
-ExtractionMode resolve_extraction_mode(const AttackOptions& options);
-
-/// Resolves a DIP-support-mode name ("full"/"cone") to the enum, with the
-/// same throwing contract.
-DipSupportMode resolve_dip_support_mode(const std::string& name);
-/// Same, reading AttackOptions::dip_support.
-DipSupportMode resolve_dip_support_mode(const AttackOptions& options);
-
-/// Applies AttackOptions::dip_support to a freshly built miter: under
-/// "cone", pins every shared primary-input variable whose gate is outside
-/// Netlist::key_support() to constant 0 (unit clauses). Inputs outside the
-/// support cannot influence any key-dependent output, so the restricted
-/// miter distinguishes exactly the same key classes while the solver stops
-/// enumerating DIPs that differ only off-support. No-op under "full".
-void apply_dip_support(sat::SolverBackend& solver,
-                       const netlist::Netlist& camo_nl,
-                       const std::vector<sat::Var>& pis,
-                       const AttackOptions& options);
-
 /// Copies the backend's portfolio telemetry (width, last decisive winner)
 /// into the result — applied wherever solver_stats is captured, so the
 /// engine's portfolio_winner/portfolio_width columns ride every attack.
@@ -105,51 +82,34 @@ void set_remaining_budget(sat::SolverBackend& solver,
 std::vector<bool> model_values(const sat::SolverBackend& solver,
                                const std::vector<sat::Var>& vars);
 
-/// Solves (on a fresh backend from `options`, with the encoder mode the
-/// options name) for any key consistent with the full history, under the
-/// remaining budget of `timer`. Agreement constraints go through
-/// sat::CircuitEncoder — one full circuit copy each in legacy mode, the
-/// key-cone remainder in compact mode.
-/// Returns the key, std::nullopt on inconsistency; sets *timed_out when the
-/// budget (wall clock or `max_conflicts`) ran out before an answer. When
-/// `stats` is non-null the extraction encoder's counters are summed into it.
-std::optional<camo::Key> extract_consistent_key(const netlist::Netlist& nl,
-                                                const History& history,
-                                                const AttackOptions& options,
-                                                const Timer& timer,
-                                                bool* timed_out,
-                                                sat::EncoderStats* stats = nullptr);
-
-/// In-place extraction on the live miter solver: solves under {~guard} —
-/// which relaxes the guarded difference constraint while every agreement,
-/// learned clause and inprocessing fact persists — and reads the model of
-/// `keys` as the consistent key. The solve shares the miter solver's
-/// cumulative conflict allowance (fresh mode gives each extraction its
-/// own). Counts the extraction and the skipped re-encode (the live
-/// solver's current formula size) into `res`.
+/// Key extraction on the live miter solver: solves under {~guard} — which
+/// relaxes the guarded difference constraint while every agreement, learned
+/// clause and inprocessing fact persists — and reads the model of `keys` as
+/// a key consistent with every recorded observation. The solve shares the
+/// miter solver's cumulative conflict allowance. Returns std::nullopt on
+/// inconsistency or timeout; `timed_out` tells the two apart (the budget —
+/// wall clock or `max_conflicts` — ran out first). Counts the extraction
+/// into `res`.
 std::optional<camo::Key> extract_inplace(sat::SolverBackend& solver,
                                          const std::vector<sat::Var>& keys,
                                          sat::Lit guard,
                                          const AttackOptions& options,
-                                         const Timer& timer, bool* timed_out,
+                                         const Timer& timer, bool& timed_out,
                                          AttackResult& res);
 
-/// Finishes an Unsat miter for run_single_dip_loop and appsat_attack: the
-/// single call site both extraction modes share. Recovers any
-/// history-consistent key — on the live `solver` under {~guard} when
-/// `guard` is set (inplace), via fresh-solver history replay otherwise —
-/// and sets res.status / res.key.
-void finish_by_extraction(AttackResult& res, const netlist::Netlist& nl,
-                          const History& history, const AttackOptions& options,
+/// Finishes an Unsat miter for run_single_dip_loop and appsat_attack:
+/// extracts a key on `solver` under {~guard} and sets res.status / res.key.
+void finish_by_extraction(AttackResult& res, const AttackOptions& options,
                           const Timer& timer, sat::SolverBackend& solver,
-                          const std::vector<sat::Var>& keys,
-                          std::optional<sat::Lit> guard);
+                          const std::vector<sat::Var>& keys, sat::Lit guard);
 
 /// Runs the classic single-DIP refinement loop to completion: build the
-/// two-copy miter, replay `history` as agreement constraints, then iterate
-/// solve → oracle query → constrain until UNSAT (key extraction follows) or
-/// a budget runs out. New observations are appended to `history`;
-/// `prior_iterations` seeds the iteration counter (Double DIP's phase 1).
+/// two-copy miter with its output difference behind a selector literal d,
+/// replay `history` as agreement constraints, then iterate solve under {d}
+/// → oracle query → constrain until UNSAT (key extraction under {~d} on the
+/// same solver follows) or a budget runs out. New observations are appended
+/// to `history`; `prior_iterations` seeds the iteration counter (Double
+/// DIP's phase 1).
 /// The returned result has status, key, iterations and solver_stats set —
 /// callers finish it with finalize_result().
 AttackResult run_single_dip_loop(const netlist::Netlist& camo_nl,

@@ -129,6 +129,9 @@ private:
 class SimulatorOracle : public Oracle {
 protected:
     explicit SimulatorOracle(const netlist::Netlist& nl) : nl_(&nl), sim_(nl) {}
+    /// Oracles borrow the netlist for their whole lifetime; a temporary
+    /// would dangle (as in every subclass below).
+    explicit SimulatorOracle(const netlist::Netlist&&) = delete;
 
     const netlist::Netlist& netlist() const { return *nl_; }
     netlist::Simulator& simulator() { return sim_; }
@@ -143,6 +146,7 @@ private:
 class ExactOracle final : public SimulatorOracle {
 public:
     explicit ExactOracle(const netlist::Netlist& nl) : SimulatorOracle(nl) {}
+    explicit ExactOracle(const netlist::Netlist&&) = delete;
 
     OracleContract contract() const override {
         return OracleContract::Deterministic;
@@ -163,6 +167,9 @@ public:
     StochasticOracle(const netlist::Netlist& camo_nl,
                      std::vector<double> per_device_accuracy,
                      std::uint64_t seed);
+    StochasticOracle(const netlist::Netlist&&, double, std::uint64_t) = delete;
+    StochasticOracle(const netlist::Netlist&&, std::vector<double>,
+                     std::uint64_t) = delete;
 
     const std::vector<double>& accuracies() const { return accuracy_; }
 

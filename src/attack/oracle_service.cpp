@@ -1,8 +1,5 @@
 #include "attack/oracle_service.hpp"
 
-#include <array>
-#include <string>
-
 #include "common/hash.hpp"
 
 namespace gshe::attack {
@@ -78,7 +75,7 @@ std::vector<std::uint64_t> OracleService::query_through(
     if (!options_.enable_cache) {
         ++client.cache_.bypassed;
         ++stats_.bypassed;
-        return evaluate_underlying(client, pi_words);
+        return underlying_->query(pi_words);
     }
 
     if (const auto it = memo_.find(key); it != memo_.end()) {
@@ -91,7 +88,7 @@ std::vector<std::uint64_t> OracleService::query_through(
         return it->second;
     }
 
-    std::vector<std::uint64_t> out = evaluate_underlying(client, pi_words);
+    std::vector<std::uint64_t> out = underlying_->query(pi_words);
     ++client.cache_.misses;
     ++stats_.misses;
     const std::size_t bytes = entry_bytes(key.words.size(), out.size());
@@ -103,60 +100,6 @@ std::vector<std::uint64_t> OracleService::query_through(
     } else {
         ++stats_.capacity_stops;
     }
-    return out;
-}
-
-std::vector<std::uint64_t> OracleService::evaluate_underlying(
-    Client& client, std::span<const std::uint64_t> pi_words) {
-    // Lane dedup applies only to Deterministic oracles: NonCacheable
-    // re-rolls randomness per evaluation (never reaches here), and
-    // EpochKeyed responses are left untouched so the epoch clock sees the
-    // exact historical query stream.
-    if (underlying_->contract() != OracleContract::Deterministic ||
-        pi_words.empty())
-        return underlying_->query(pi_words);
-
-    // Exact column keys — lane j's bits across every PI word, packed into a
-    // byte string — so equal keys mean equal patterns (no hash aliasing) and
-    // the expanded response is byte-identical to the unduplicated query.
-    const std::size_t n = pi_words.size();
-    std::unordered_map<std::string, int> first;
-    first.reserve(64);
-    std::array<int, 64> slot_of{};
-    std::array<int, 64> rep{};
-    std::string key((n + 7) / 8, '\0');
-    int unique = 0;
-    for (int j = 0; j < 64; ++j) {
-        key.assign(key.size(), '\0');
-        for (std::size_t i = 0; i < n; ++i)
-            if ((pi_words[i] >> j) & 1)
-                key[i / 8] = static_cast<char>(
-                    static_cast<unsigned char>(key[i / 8]) | (1u << (i % 8)));
-        const auto [it, fresh] = first.emplace(key, unique);
-        if (fresh) rep[static_cast<std::size_t>(unique++)] = j;
-        slot_of[static_cast<std::size_t>(j)] = it->second;
-    }
-    if (unique == 64) return underlying_->query(pi_words);
-
-    // Compact the unique lanes into the low bits, evaluate once, expand.
-    std::vector<std::uint64_t> compact(n, 0);
-    for (int u = 0; u < unique; ++u) {
-        const int j = rep[static_cast<std::size_t>(u)];
-        for (std::size_t i = 0; i < n; ++i)
-            compact[i] |= ((pi_words[i] >> j) & 1) << u;
-    }
-    const std::vector<std::uint64_t> packed = underlying_->query(compact);
-    std::vector<std::uint64_t> out(packed.size(), 0);
-    for (std::size_t o = 0; o < packed.size(); ++o) {
-        std::uint64_t w = 0;
-        for (int j = 0; j < 64; ++j)
-            w |= ((packed[o] >> slot_of[static_cast<std::size_t>(j)]) & 1)
-                 << j;
-        out[o] = w;
-    }
-    const std::uint64_t deduped = static_cast<std::uint64_t>(64 - unique);
-    client.cache_.lanes_deduped += deduped;
-    stats_.lanes_deduped += deduped;
     return out;
 }
 

@@ -71,12 +71,6 @@ struct OracleCacheStats {
     std::uint64_t bypassed = 0;  ///< non-cacheable contract or memo disabled
     std::uint64_t unique_patterns = 0;  ///< distinct keys in this client's own stream
     std::uint64_t inserted_bytes = 0;   ///< memo bytes this client added
-    /// Duplicate lanes collapsed before evaluation (deterministic oracles
-    /// only): a query whose 64 lanes hold u distinct patterns evaluates u
-    /// lanes and counts 64-u here. Depends on which queries reached the
-    /// evaluator (scheduling-dependent, like hits/misses): JSON/journal
-    /// only, never the deterministic CSV.
-    std::uint64_t lanes_deduped = 0;
 
     std::uint64_t logical() const { return hits + misses + bypassed; }
     std::uint64_t evaluated() const { return misses + bypassed; }
@@ -90,7 +84,6 @@ struct OracleServiceStats {
     std::uint64_t entries = 0;        ///< live memo entries
     std::uint64_t bytes = 0;          ///< approximate memo footprint
     std::uint64_t capacity_stops = 0; ///< insertions skipped: byte cap reached
-    std::uint64_t lanes_deduped = 0;  ///< duplicate lanes collapsed, all clients
 };
 
 class OracleService {
@@ -165,12 +158,6 @@ private:
     };
 
     std::vector<std::uint64_t> query_through(
-        Client& client, std::span<const std::uint64_t> pi_words);
-    /// Evaluates on the underlying oracle; for Deterministic contracts,
-    /// duplicate lanes within the 64-lane query are collapsed first and the
-    /// response expanded back (byte-identical — deterministic oracles
-    /// evaluate lanes independently).
-    std::vector<std::uint64_t> evaluate_underlying(
         Client& client, std::span<const std::uint64_t> pi_words);
 
     Oracle* underlying_;

@@ -44,6 +44,8 @@ public:
     /// @param duty_true      fraction of epochs that run the true mode
     RekeyingOracle(const netlist::Netlist& camo_nl, std::uint64_t interval,
                    double scramble_frac, double duty_true, std::uint64_t seed);
+    RekeyingOracle(const netlist::Netlist&&, std::uint64_t, double, double,
+                   std::uint64_t) = delete;
 
     attack::OracleContract contract() const override {
         return attack::OracleContract::EpochKeyed;

@@ -194,8 +194,6 @@ JobResult CampaignRunner::run_job(const PlannedJob& job,
     r.attack = spec.attack;
     r.solver_backend = spec.attack_options.solver_backend;
     r.encoder = spec.attack_options.encoder;
-    r.extraction = spec.attack_options.extraction;
-    r.dip_support = spec.attack_options.dip_support;
     r.spec_seed = spec.seed;
     r.derived_seed = job.derived_seed;
     r.oracle_group = static_cast<std::uint64_t>(job.group);
@@ -221,7 +219,6 @@ JobResult CampaignRunner::run_job(const PlannedJob& job,
                 (void)group.instance->netlist->key_cone();
                 (void)group.instance->netlist->sim_plan();
                 (void)group.instance->netlist->frontier_plan();
-                (void)group.instance->netlist->key_support();
                 attack::OracleService::Options sopts;
                 sopts.enable_cache = group.cache_enabled;
                 sopts.max_bytes = options_.oracle_cache_bytes;

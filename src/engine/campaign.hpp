@@ -72,12 +72,6 @@ struct JobResult {
     /// JSON report and journal only — the deterministic CSV layout predates
     /// encoder selection and stays frozen.
     std::string encoder = "legacy";
-    /// Key-extraction mode the attack used (AttackOptions::extraction).
-    /// JSON/journal only, like the encoder mode.
-    std::string extraction = "fresh";
-    /// DIP support mode the attack used (AttackOptions::dip_support).
-    /// JSON/journal only, like the encoder mode.
-    std::string dip_support = "full";
     std::uint64_t spec_seed = 0;
     std::uint64_t derived_seed = 0;
     std::size_t protected_cells = 0;

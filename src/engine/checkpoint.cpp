@@ -119,14 +119,6 @@ void write_spec(JsonWriter& w, const JobSpec& spec) {
         w.key("encoder");
         w.value(spec.attack_options.encoder);
     }
-    if (spec.attack_options.extraction != "fresh") {
-        w.key("extraction");
-        w.value(spec.attack_options.extraction);
-    }
-    if (spec.attack_options.dip_support != "full") {
-        w.key("dip_support");
-        w.value(spec.attack_options.dip_support);
-    }
     w.key("solver");
     write_solver_options(w, spec.attack_options.solver);
     w.end_object();
@@ -154,10 +146,6 @@ void write_result(JsonWriter& w, const JobResult& r) {
     w.value(r.solver_backend);
     w.key("encoder");
     w.value(r.encoder);
-    w.key("extraction");
-    w.value(r.extraction);
-    w.key("dip_support");
-    w.value(r.dip_support);
     w.key("spec_seed");
     w.value(r.spec_seed);
     w.key("derived_seed");
@@ -245,14 +233,8 @@ void write_result(JsonWriter& w, const JobResult& r) {
     w.key("sim_gates");
     w.value(r.result.encoder_stats.sim_gates);
     w.end_object();
-    // In-place extraction telemetry (additive; fresh-era records decode to
-    // zeros).
     w.key("inplace_extractions");
     w.value(r.result.inplace_extractions);
-    w.key("reencode_vars_avoided");
-    w.value(r.result.reencode_vars_avoided);
-    w.key("reencode_clauses_avoided");
-    w.value(r.result.reencode_clauses_avoided);
     w.end_object();
     w.key("oracle_stats");
     w.begin_object();
@@ -295,8 +277,6 @@ void write_result(JsonWriter& w, const JobResult& r) {
     w.value(r.oracle_cache.unique_patterns);
     w.key("inserted_bytes");
     w.value(r.oracle_cache.inserted_bytes);
-    w.key("lanes_deduped");
-    w.value(r.oracle_cache.lanes_deduped);
     w.end_object();
     w.end_object();
 }
@@ -373,8 +353,6 @@ std::optional<JobSpec> spec_from_value(const json::Value& v) {
         opt.solver_backend =
             string_field(*o, "solver_backend", opt.solver_backend);
         opt.encoder = string_field(*o, "encoder", opt.encoder);
-        opt.extraction = string_field(*o, "extraction", opt.extraction);
-        opt.dip_support = string_field(*o, "dip_support", opt.dip_support);
         if (const json::Value* s = o->find("solver"); s && s->is_object()) {
             opt.solver.use_vsids =
                 bool_field(*s, "use_vsids", opt.solver.use_vsids);
@@ -431,8 +409,6 @@ std::optional<JobResult> result_from_value(const json::Value& v) {
     r.attack = string_field(v, "attack");
     r.solver_backend = string_field(v, "solver_backend", r.solver_backend);
     r.encoder = string_field(v, "encoder", r.encoder);
-    r.extraction = string_field(v, "extraction", r.extraction);
-    r.dip_support = string_field(v, "dip_support", r.dip_support);
     r.spec_seed = u64_field(v, "spec_seed");
     r.derived_seed = u64_field(v, "derived_seed");
     r.protected_cells = static_cast<std::size_t>(
@@ -494,10 +470,6 @@ std::optional<JobResult> result_from_value(const json::Value& v) {
         es.sim_gates = u64_field(*e, "sim_gates", 0);
     }
     r.result.inplace_extractions = u64_field(*a, "inplace_extractions", 0);
-    r.result.reencode_vars_avoided =
-        u64_field(*a, "reencode_vars_avoided", 0);
-    r.result.reencode_clauses_avoided =
-        u64_field(*a, "reencode_clauses_avoided", 0);
     if (const json::Value* o = v.find("oracle_stats"); o && o->is_object()) {
         r.oracle_stats.calls = u64_field(*o, "calls");
         r.oracle_stats.single_calls = u64_field(*o, "single_calls");
@@ -523,7 +495,6 @@ std::optional<JobResult> result_from_value(const json::Value& v) {
         r.oracle_cache.bypassed = u64_field(*c, "bypassed");
         r.oracle_cache.unique_patterns = u64_field(*c, "unique_patterns");
         r.oracle_cache.inserted_bytes = u64_field(*c, "inserted_bytes");
-        r.oracle_cache.lanes_deduped = u64_field(*c, "lanes_deduped");
     }
     return r;
 }

@@ -95,10 +95,6 @@ std::string campaign_json(const CampaignResult& result) {
         w.value(j.solver_backend);
         w.key("encoder");
         w.value(j.encoder);
-        w.key("extraction");
-        w.value(j.extraction);
-        w.key("dip_support");
-        w.value(j.dip_support);
         w.key("seed");
         w.value(j.spec_seed);
         w.key("derived_seed");
@@ -159,13 +155,8 @@ std::string campaign_json(const CampaignResult& result) {
             w.key("sim_gates");
             w.value(r.encoder_stats.sim_gates);
             w.end_object();
-            // In-place extraction telemetry (zeros under mode "fresh").
             w.key("inplace_extractions");
             w.value(r.inplace_extractions);
-            w.key("reencode_vars_avoided");
-            w.value(r.reencode_vars_avoided);
-            w.key("reencode_clauses_avoided");
-            w.value(r.reencode_clauses_avoided);
             w.key("oracle");
             w.begin_object();
             w.key("calls");
@@ -203,8 +194,6 @@ std::string campaign_json(const CampaignResult& result) {
             w.value(j.oracle_cache.bypassed);
             w.key("inserted_bytes");
             w.value(j.oracle_cache.inserted_bytes);
-            w.key("lanes_deduped");
-            w.value(j.oracle_cache.lanes_deduped);
             w.end_object();
             w.end_object();
         }

@@ -180,7 +180,6 @@ void Netlist::invalidate_caches() const {
 void Netlist::invalidate_sim_plans() const {
     sim_plan_valid_ = false;
     frontier_valid_ = false;
-    support_valid_ = false;
 }
 
 const SimPlan& Netlist::sim_plan() const {
@@ -204,14 +203,6 @@ const SimPlan& Netlist::frontier_plan() const {
 const std::vector<GateId>& Netlist::frontier_read_set() const {
     frontier_plan();
     return frontier_reads_;
-}
-
-const std::vector<char>& Netlist::key_support() const {
-    if (!support_valid_) {
-        support_cache_ = build_key_support(*this);
-        support_valid_ = true;
-    }
-    return support_cache_;
 }
 
 const std::vector<GateId>& Netlist::topological_order() const {

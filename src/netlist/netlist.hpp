@@ -162,11 +162,6 @@ public:
     /// The gates frontier_plan() serves (non-cone fanins of cone gates plus
     /// non-cone output drivers), ascending. Cached with frontier_plan().
     const std::vector<GateId>& frontier_read_set() const;
-    /// Key support: flag[id] != 0 iff gate id is inside the key cone or its
-    /// transitive fanin. A primary input outside the support can never
-    /// influence a key-dependent output (--dip-support=cone pins it). Same
-    /// caching/invalidation as sim_plan().
-    const std::vector<char>& key_support() const;
 
     /// Longest path length in gates from any source (levelization).
     std::vector<int> levels() const;
@@ -196,15 +191,13 @@ private:
     mutable std::size_t cone_size_ = 0;
     mutable bool cone_valid_ = false;
     // Simulation-plan caches. Like the cone, they depend on camouflage state
-    // (camo step bindings, frontier, support), so camouflage() /
+    // (camo step bindings, frontier), so camouflage() /
     // clear_camouflage() invalidate them alongside structural mutation.
     mutable std::unique_ptr<SimPlan> sim_plan_cache_;
     mutable bool sim_plan_valid_ = false;
     mutable std::unique_ptr<SimPlan> frontier_cache_;
     mutable std::vector<GateId> frontier_reads_;
     mutable bool frontier_valid_ = false;
-    mutable std::vector<char> support_cache_;
-    mutable bool support_valid_ = false;
 };
 
 }  // namespace gshe::netlist

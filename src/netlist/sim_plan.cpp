@@ -100,27 +100,4 @@ SimPlan build_restricted_plan(const Netlist& nl,
     return assemble(nl, level_major_order(nl), keep);
 }
 
-std::vector<char> build_key_support(const Netlist& nl) {
-    // Backward walk over fanins from every cone gate. The cone itself is
-    // support (a camo gate's own fanins obviously feed key-dependent logic);
-    // the walk adds its transitive fanin, stopping at non-Logic sources.
-    const std::vector<char>& cone = nl.key_cone();
-    std::vector<char> support(cone.begin(), cone.end());
-    std::vector<GateId> work;
-    for (GateId id = 0; id < nl.size(); ++id)
-        if (cone[id] != 0) work.push_back(id);
-    while (!work.empty()) {
-        const GateId id = work.back();
-        work.pop_back();
-        const Gate& g = nl.gate(id);
-        if (g.type != CellType::Logic) continue;
-        for (const GateId fan : {g.a, g.b}) {
-            if (fan == kNoGate || support[fan] != 0) continue;
-            support[fan] = 1;
-            work.push_back(fan);
-        }
-    }
-    return support;
-}
-
 }  // namespace gshe::netlist

@@ -9,22 +9,14 @@
 // topological order, so the computed words are bit-identical to the
 // reference per-gate walk — the plan changes cost, never values.
 //
-// Two derived artifacts make the plan cone-aware:
+// A restricted plan makes the kernel cone-aware: the subset of steps in the
+// transitive fanin of a requested read set, in the same level-major order.
+// The compact CNF encoder reads only the key-cone frontier per DIP, so its
+// sweeps shrink from O(|circuit|) to O(|frontier cone|) steps.
 //
-//   restricted plan   the subset of steps in the transitive fanin of a
-//                     requested read set, in the same level-major order.
-//                     The compact CNF encoder reads only the key-cone
-//                     frontier per DIP, so its sweeps shrink from
-//                     O(|circuit|) to O(|frontier cone|) steps.
-//   key support       per-gate flag: inside the key cone or its transitive
-//                     fanin. A primary input outside the support can never
-//                     influence a key-dependent output — the DIP loop may
-//                     pin it to a constant (--dip-support=cone).
-//
-// Plans are cached on the Netlist (sim_plan() / frontier_plan() /
-// key_support()) and invalidated by structural mutation and by
-// camouflage()/clear_camouflage(), which change camo step bindings and the
-// cone without changing the graph.
+// Plans are cached on the Netlist (sim_plan() / frontier_plan()) and
+// invalidated by structural mutation and by camouflage()/clear_camouflage(),
+// which change camo step bindings and the cone without changing the graph.
 
 #include <cstdint>
 #include <span>
@@ -81,10 +73,5 @@ std::vector<GateId> frontier_read_set(const Netlist& nl);
 /// slots stale — only the read gates (and seeded sources) are valid.
 SimPlan build_restricted_plan(const Netlist& nl,
                               std::span<const GateId> read_gates);
-
-/// Key support: flag[id] != 0 iff gate id is inside the key cone or its
-/// transitive fanin (the gates whose value can influence a key-dependent
-/// output). DFF boundaries cut the walk, matching key_cone().
-std::vector<char> build_key_support(const Netlist& nl);
 
 }  // namespace gshe::netlist

@@ -28,6 +28,9 @@ namespace gshe::netlist {
 class Simulator {
 public:
     explicit Simulator(const Netlist& nl) : nl_(&nl) {}
+    /// The simulator keeps a pointer to the netlist (and reads its cached
+    /// SimPlan on every sweep), so a temporary would dangle.
+    explicit Simulator(const Netlist&&) = delete;
 
     /// Evaluates 64 packed patterns. `pi_words[i]` is the word for
     /// nl.inputs()[i]; DFF outputs evaluate to `dff_words` (zeros if empty).

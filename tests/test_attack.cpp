@@ -1,11 +1,16 @@
 // Tests for the oracle-guided attacks: exact/stochastic oracles, the
-// Subramanyan SAT attack, Double DIP, AppSAT, SAT equivalence checking, and
-// the Sec. V-B stochastic-defense behaviour.
+// Subramanyan SAT attack, Double DIP, AppSAT, a semantic spec every attack
+// is checked against (brute-force consistent-key sets on small netlists),
+// SAT equivalence checking, and the Sec. V-B stochastic-defense behaviour.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "attack/appsat.hpp"
+#include "attack/attack.hpp"
 #include "attack/double_dip.hpp"
 #include "attack/equivalence.hpp"
 #include "attack/oracle.hpp"
@@ -155,10 +160,10 @@ TEST(SatAttack, MoreFunctionsNeedMoreDips) {
     // same selection.
     const Netlist nl = small_circuit(77);
     const auto sel = select_gates(nl, 0.12, 21);
-    ExactOracle o2(apply_camouflage(nl, sel, camo::alasad17c_zhang16(), 21).netlist);
-    ExactOracle o16(apply_camouflage(nl, sel, camo::gshe16(), 21).netlist);
     const Protection p2 = apply_camouflage(nl, sel, camo::alasad17c_zhang16(), 21);
     const Protection p16 = apply_camouflage(nl, sel, camo::gshe16(), 21);
+    ExactOracle o2(p2.netlist);
+    ExactOracle o16(p16.netlist);
     const AttackResult r2 = sat_attack(p2.netlist, o2);
     const AttackResult r16 = sat_attack(p16.netlist, o16);
     ASSERT_EQ(r2.status, AttackResult::Status::Success);
@@ -269,6 +274,78 @@ TEST(StochasticDefense, DeterministicRegimeStillBreakable) {
     const AttackResult res = sat_attack(prot.netlist, oracle);
     ASSERT_EQ(res.status, AttackResult::Status::Success);
     EXPECT_TRUE(res.key_exact);
+}
+
+// ---- semantic spec: brute-force consistent-key sets ----------------------------------
+
+/// Every key whose circuit equals the oracle (the true functions) on all
+/// 2^n input patterns, by exhaustive enumeration of inputs and key codes —
+/// the specification the attacks are checked against, independent of any
+/// SAT encoding. Key codes that decode to no function are skipped.
+std::set<std::vector<bool>> consistent_keys(const Netlist& camo_nl) {
+    const std::size_t n = camo_nl.inputs().size();
+    const std::size_t patterns = std::size_t{1} << n;
+    const std::size_t words = patterns < 64 ? 1 : patterns / 64;
+    // Input-major, pattern p = 64 * word + lane (wrapping modulo 2^n when
+    // there are fewer patterns than lanes).
+    std::vector<std::uint64_t> pi(n * words, 0);
+    for (std::size_t w = 0; w < words; ++w)
+        for (std::size_t lane = 0; lane < 64; ++lane) {
+            const std::size_t p = (64 * w + lane) % patterns;
+            for (std::size_t i = 0; i < n; ++i)
+                if ((p >> i) & 1) pi[i * words + w] |= std::uint64_t{1} << lane;
+        }
+    const netlist::Simulator sim(camo_nl);
+    const std::vector<std::uint64_t> truth = sim.run_words(pi, words);
+
+    const auto bits = static_cast<std::size_t>(camo_nl.key_bit_count());
+    std::set<std::vector<bool>> keys;
+    for (std::uint64_t code = 0; code < (std::uint64_t{1} << bits); ++code) {
+        camo::Key key;
+        for (std::size_t b = 0; b < bits; ++b) key.bits.push_back((code >> b) & 1);
+        const auto fns = camo::functions_for_key(camo_nl, key);
+        if (fns && sim.run_words_with_functions(pi, words, *fns) == truth)
+            keys.insert(key.bits);
+    }
+    return keys;
+}
+
+TEST(SemanticSpec, EveryAttackRecoversAKeyInTheConsistentSet) {
+    // Random gshe16-camouflaged netlists with at most 10 primary inputs and
+    // at most 3 cells (12 key bits): small enough to enumerate every input
+    // and every key. Each attack must succeed with a key from that set.
+    std::size_t checked = 0;
+    for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+        netlist::RandomSpec spec;
+        spec.n_inputs = 3 + static_cast<int>(seed % 8);
+        spec.n_outputs = 1 + static_cast<int>(seed % 4);
+        spec.n_gates = 15 + static_cast<int>(seed % 25);
+        spec.seed = seed;
+        const Netlist plain = netlist::random_circuit(spec);
+        const double cells = static_cast<double>(1 + seed % 3);
+        const Protection prot = protect(
+            plain, camo::gshe16(),
+            cells / static_cast<double>(plain.logic_gate_count()), seed);
+        const Netlist& nl = prot.netlist;
+        if (nl.camo_cells().empty()) continue;
+        ASSERT_LE(nl.inputs().size(), 10u);
+        ASSERT_LE(nl.key_bit_count(), 12);
+        ++checked;
+
+        const std::set<std::vector<bool>> keys = consistent_keys(nl);
+        ASSERT_EQ(keys.count(prot.true_key.bits), 1u) << "seed " << seed;
+        for (const char* name : {"sat", "double_dip", "appsat"}) {
+            ExactOracle oracle(nl);
+            AttackOptions opt;
+            opt.appsat_error_threshold = 0.0;
+            const AttackResult res = attack_by_name(name).run(nl, oracle, opt);
+            ASSERT_EQ(res.status, AttackResult::Status::Success)
+                << name << " seed " << seed;
+            EXPECT_EQ(keys.count(res.key.bits), 1u)
+                << name << " seed " << seed << " key " << res.key.to_string();
+        }
+    }
+    EXPECT_GE(checked, 100u);
 }
 
 // ---- equivalence checker -------------------------------------------------------------

@@ -307,7 +307,7 @@ TEST(CheckpointRecord, UnknownFieldsAreTolerated) {
         ASSERT_NE(at, std::string::npos) << anchor;
         line.insert(at + anchor.size(), extra);
     };
-    inject_after("{\"v\":1", ",\"future\":{\"nested\":[1,\"two\",null]}");
+    inject_after("{\"v\":2", ",\"future\":{\"nested\":[1,\"two\",null]}");
     inject_after("\"spec\":{", "\"new_spec_field\":3.5,");
     inject_after("\"result\":{", "\"gpu_seconds\":0.1,");
 
@@ -327,7 +327,7 @@ TEST(CheckpointRecord, MalformedAndWrongVersionRejected) {
             << keep;
     // Unsupported version.
     std::string wrong_version = good;
-    wrong_version.replace(wrong_version.find("\"v\":1"), 5, "\"v\":9");
+    wrong_version.replace(wrong_version.find("\"v\":2"), 5, "\"v\":9");
     EXPECT_FALSE(checkpoint::decode_record(wrong_version).has_value());
     // Bad status string.
     std::string bad_status = good;
@@ -335,6 +335,23 @@ TEST(CheckpointRecord, MalformedAndWrongVersionRejected) {
     bad_status.replace(bad_status.find(needle), needle.size(),
                        "\"status\":\"no-such-status\"");
     EXPECT_FALSE(checkpoint::decode_record(bad_status).has_value());
+}
+
+TEST(CheckpointRecord, VersionOneLinesAreSkippedOnLoad) {
+    // Version 1 records hold results of the retired fresh-solver key
+    // extraction under job keys that did not change; they must re-run.
+    const JobSpec spec = sample_spec();
+    const std::string v2 = checkpoint::encode_record(
+        checkpoint::job_key(1, 7, spec), spec, sample_result());
+    std::string v1 = v2;
+    v1.replace(v1.find("\"v\":2"), 5, "\"v\":1");
+
+    ScratchJournal scratch("version_one");
+    scratch.write_lines({v1, v2});
+    const std::vector<checkpoint::Record> records =
+        checkpoint::load_journal(scratch.path);
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records.front().line, v2);
 }
 
 TEST(CheckpointRecord, JobKeyDependsOnSeedIndexAndSpec) {

@@ -504,7 +504,7 @@ TEST(CheckpointEncoder, LegacySpecJsonAndJobKeysAreUnchanged) {
     JobSpec legacy;
     legacy.circuit = "alpha";
     // The default spec must not mention the encoder at all: job keys are
-    // fnv1a over this JSON, and pre-encoder journals must keep resuming.
+    // fnv1a over this JSON, and default job keys must not change with it.
     EXPECT_EQ(engine::checkpoint::spec_json(legacy).find("encoder"),
               std::string::npos);
 

@@ -1,28 +1,17 @@
-// Tests for assumption-guarded key extraction (attack/miter_detail.hpp):
-// the ExtractionMode registry, the guarded difference constraint, DIP
-// history dedup, and — the acceptance criteria — that in-place extraction
-// admits exactly the keys fresh extraction admits (200 randomized
-// camouflaged netlists plus the deterministic defense families), that an
-// in-place AppSAT run grows the formula by agreements only (zero full
-// re-encodes after the initial miter), and that inplace-mode campaign CSVs
-// keep the byte-identity contract across thread counts and checkpoint
-// resume against their own inplace baseline.
+// Tests for assumption-guarded key extraction (attack/miter_detail.hpp): DIP
+// history dedup, the guarded difference constraint, and that an AppSAT run
+// grows its one miter by agreements only (zero full re-encodes after the
+// initial miter, whatever the number of settlement extractions).
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "attack/appsat.hpp"
 #include "attack/miter_detail.hpp"
 #include "attack/oracle.hpp"
-#include "attack/sat_attack.hpp"
 #include "camo/cell_library.hpp"
 #include "camo/protect.hpp"
-#include "engine/campaign.hpp"
-#include "engine/checkpoint.hpp"
-#include "engine/report.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/netlist.hpp"
 #include "sat/encoder.hpp"
@@ -31,57 +20,11 @@
 namespace gshe {
 namespace {
 
-using attack::ExtractionMode;
-using engine::CampaignOptions;
-using engine::CampaignRunner;
-using engine::DefenseConfig;
-using engine::JobSpec;
 using netlist::Netlist;
 using sat::CircuitEncoder;
 using sat::EncoderMode;
 using sat::Lit;
 using sat::SolveResult;
-
-Netlist tiny_circuit(const std::string& name) {
-    netlist::RandomSpec spec;
-    spec.n_inputs = 12;
-    spec.n_outputs = 8;
-    spec.n_gates = 60;
-    spec.seed = name == "alpha" ? 11 : 22;
-    return netlist::random_circuit(spec, name);
-}
-
-// ---- mode registry ----------------------------------------------------------
-
-TEST(ExtractionModeRegistry, NamesRoundTrip) {
-    EXPECT_EQ(attack::extraction_mode_name(ExtractionMode::Fresh), "fresh");
-    EXPECT_EQ(attack::extraction_mode_name(ExtractionMode::Inplace),
-              "inplace");
-    EXPECT_EQ(attack::extraction_mode_from_name("fresh"),
-              ExtractionMode::Fresh);
-    EXPECT_EQ(attack::extraction_mode_from_name("inplace"),
-              ExtractionMode::Inplace);
-    EXPECT_FALSE(attack::extraction_mode_from_name("bogus").has_value());
-    EXPECT_EQ(attack::extraction_mode_names(),
-              (std::vector<std::string>{"fresh", "inplace"}));
-}
-
-TEST(ExtractionModeRegistry, ResolveThrowsListingKnownModes) {
-    EXPECT_THROW(attack::detail::resolve_extraction_mode("bogus"),
-                 std::invalid_argument);
-    attack::AttackOptions opt;
-    opt.extraction = "lazy";
-    EXPECT_THROW(attack::detail::resolve_extraction_mode(opt),
-                 std::invalid_argument);
-    try {
-        attack::detail::resolve_extraction_mode("bogus");
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("fresh"), std::string::npos);
-        EXPECT_NE(what.find("inplace"), std::string::npos);
-    }
-}
 
 // ---- history dedup ----------------------------------------------------------
 
@@ -171,88 +114,13 @@ TEST(GuardedDifference, GuardedMiterFindsTheSameDipsAsUnguarded) {
     EXPECT_EQ(guarded_s.solve({guard}), baked_s.solve());
 }
 
-// ---- randomized attack equivalence ------------------------------------------
-
-TEST(InplaceAttack, TwoHundredRandomCamoNetlistsAgreeWithFresh) {
-    std::size_t with_keys = 0;
-    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-        netlist::RandomSpec spec;
-        spec.n_inputs = 10;
-        spec.n_outputs = 6;
-        spec.n_gates = 45;
-        spec.seed = seed;
-        const Netlist plain = netlist::random_circuit(spec);
-        const camo::Protection prot = camo::apply_camouflage(
-            plain, camo::select_gates(plain, 0.12, seed), camo::gshe16(),
-            seed);
-        if (!prot.netlist.camo_cells().empty()) ++with_keys;
-
-        attack::AttackResult results[2];
-        for (int m = 0; m < 2; ++m) {
-            attack::ExactOracle oracle(prot.netlist);
-            attack::AttackOptions opt;
-            opt.extraction = m == 0 ? "fresh" : "inplace";
-            results[m] = attack::sat_attack(prot.netlist, oracle, opt);
-        }
-        ASSERT_EQ(results[0].status, attack::AttackResult::Status::Success)
-            << "seed " << seed;
-        ASSERT_EQ(results[1].status, results[0].status) << "seed " << seed;
-        EXPECT_EQ(results[0].key_error_rate, 0.0) << "seed " << seed;
-        EXPECT_EQ(results[1].key_error_rate, 0.0) << "seed " << seed;
-        EXPECT_EQ(results[0].inplace_extractions, 0u) << "seed " << seed;
-        EXPECT_GE(results[1].inplace_extractions, 1u) << "seed " << seed;
-    }
-    // The sweep exercised real key recovery, not 200 empty defenses.
-    EXPECT_GT(with_keys, 150u);
-}
-
-TEST(InplaceAttack, DeterministicDefenseFamiliesRecoverKeys) {
-    DefenseConfig camo;
-    camo.kind = "camo";
-    camo.fraction = 0.12;
-    DefenseConfig sarlock;
-    sarlock.kind = "sarlock";
-    sarlock.sarlock_bits = 4;
-
-    engine::CampaignResult results[2];
-    for (int m = 0; m < 2; ++m) {
-        attack::AttackOptions opt;
-        opt.extraction = m == 0 ? "fresh" : "inplace";
-        const std::vector<JobSpec> jobs = CampaignRunner::cross_product(
-            {"alpha", "beta"}, {camo, sarlock},
-            {"sat", "double_dip", "appsat"}, {1}, opt);
-        CampaignOptions options;
-        options.threads = 1;
-        options.netlist_provider = tiny_circuit;
-        results[m] = CampaignRunner(options).run(jobs);
-    }
-    ASSERT_EQ(results[0].jobs.size(), results[1].jobs.size());
-    for (std::size_t i = 0; i < results[0].jobs.size(); ++i) {
-        const engine::JobResult& f = results[0].jobs[i];
-        const engine::JobResult& p = results[1].jobs[i];
-        ASSERT_TRUE(f.error.empty() && p.error.empty())
-            << f.circuit << "/" << f.defense << "/" << f.attack;
-        EXPECT_EQ(p.result.status, f.result.status)
-            << f.circuit << "/" << f.defense << "/" << f.attack;
-        EXPECT_EQ(f.result.key_error_rate, 0.0)
-            << f.circuit << "/" << f.defense << "/" << f.attack;
-        EXPECT_EQ(p.result.key_error_rate, 0.0)
-            << p.circuit << "/" << p.defense << "/" << p.attack;
-        EXPECT_EQ(f.extraction, "fresh");
-        EXPECT_EQ(p.extraction, "inplace");
-        EXPECT_EQ(f.result.inplace_extractions, 0u);
-        EXPECT_GE(p.result.inplace_extractions, 1u);
-    }
-}
-
 // ---- agreement-only growth --------------------------------------------------
 
 TEST(InplaceAttack, AppSatGrowsTheFormulaByAgreementsOnly) {
-    // The tentpole's whole point: under "inplace" an AppSAT run — the
-    // settlement-heavy workload — must never re-encode the circuit after
-    // the initial miter. Encoder-visible variables beyond the agreement
-    // constraints must equal a bare two-copy miter encode, bit for bit,
-    // while "fresh" pays at least one extra full re-encode per extraction.
+    // An AppSAT run — the settlement-heavy workload — must never re-encode
+    // the circuit after the initial miter: encoder-visible variables and
+    // clauses beyond the agreement constraints must equal a bare two-copy
+    // miter encode, bit for bit, however many extractions it ran.
     netlist::RandomSpec spec;
     spec.n_inputs = 12;
     spec.n_outputs = 8;
@@ -263,9 +131,9 @@ TEST(InplaceAttack, AppSatGrowsTheFormulaByAgreementsOnly) {
         plain, camo::select_gates(plain, 0.12, 3), camo::gshe16(), 3);
     ASSERT_FALSE(prot.netlist.camo_cells().empty());
 
-    // The whole inplace preamble: two-copy miter plus the guarded
-    // difference ladder. Everything the attack encodes beyond this must be
-    // agreement CNF.
+    // The whole preamble: two-copy miter plus the guarded difference
+    // ladder. Everything the attack encodes beyond this must be agreement
+    // CNF.
     const auto bare_miter = [&](EncoderMode mode) {
         sat::Solver s;
         CircuitEncoder enc(s, mode);
@@ -276,142 +144,21 @@ TEST(InplaceAttack, AppSatGrowsTheFormulaByAgreementsOnly) {
     };
 
     for (const std::string encoder : {"legacy", "compact"}) {
-        attack::AttackResult results[2];
-        for (int m = 0; m < 2; ++m) {
-            attack::ExactOracle oracle(prot.netlist);
-            attack::AppSatOptions opt;
-            opt.base.encoder = encoder;
-            opt.base.extraction = m == 0 ? "fresh" : "inplace";
-            results[m] = attack::appsat_attack(prot.netlist, oracle, opt);
-        }
-        const attack::AttackResult& fresh = results[0];
-        const attack::AttackResult& inplace = results[1];
-        ASSERT_EQ(inplace.status, attack::AttackResult::Status::Success)
+        attack::ExactOracle oracle(prot.netlist);
+        attack::AppSatOptions opt;
+        opt.base.encoder = encoder;
+        const attack::AttackResult res =
+            attack::appsat_attack(prot.netlist, oracle, opt);
+        ASSERT_EQ(res.status, attack::AttackResult::Status::Success)
             << encoder;
-        ASSERT_EQ(fresh.status, inplace.status) << encoder;
-        EXPECT_GE(inplace.inplace_extractions, 1u) << encoder;
-        EXPECT_GT(inplace.reencode_vars_avoided, 0u) << encoder;
-        EXPECT_GT(inplace.reencode_clauses_avoided, 0u) << encoder;
+        EXPECT_GE(res.inplace_extractions, 1u) << encoder;
 
         const sat::EncoderStats bare =
             bare_miter(attack::detail::resolve_encoder_mode(encoder));
-        const auto& is = inplace.encoder_stats;
-        const auto& fs = fresh.encoder_stats;
-        // Zero full re-encodes after the initial miter: agreement-only
-        // growth, down to the exact variable and clause counts.
-        EXPECT_EQ(is.vars - is.agreement_vars, bare.vars) << encoder;
-        EXPECT_EQ(is.clauses - is.agreement_clauses, bare.clauses) << encoder;
-        // Fresh paid one full re-encode per extraction on top of its miter.
-        EXPECT_GT(fs.vars - fs.agreement_vars, bare.vars) << encoder;
+        const auto& es = res.encoder_stats;
+        EXPECT_EQ(es.vars - es.agreement_vars, bare.vars) << encoder;
+        EXPECT_EQ(es.clauses - es.agreement_clauses, bare.clauses) << encoder;
     }
-}
-
-// ---- campaign byte-identity in inplace mode ---------------------------------
-
-std::vector<JobSpec> inplace_matrix() {
-    DefenseConfig camo;
-    camo.kind = "camo";
-    camo.fraction = 0.12;
-    camo.protect_seed = 0xC0DE;
-    attack::AttackOptions opt;
-    opt.extraction = "inplace";
-    return CampaignRunner::cross_product({"alpha", "beta"}, {camo},
-                                         {"sat", "appsat"}, {1, 2}, opt);
-}
-
-TEST(InplaceCampaign, CsvByteIdenticalAcrossThreadCounts) {
-    const std::vector<JobSpec> jobs = inplace_matrix();
-    std::vector<std::string> csvs;
-    for (const int threads : {1, 8}) {
-        CampaignOptions options;
-        options.threads = threads;
-        options.netlist_provider = tiny_circuit;
-        csvs.push_back(
-            engine::campaign_csv(CampaignRunner(options).run(jobs)));
-    }
-    EXPECT_EQ(csvs[0], csvs[1]);
-    EXPECT_NE(csvs[0].find("success"), std::string::npos);
-}
-
-TEST(InplaceCampaign, ResumeReplaysByteIdentically) {
-    namespace fs = std::filesystem;
-    const fs::path dir = fs::temp_directory_path() / "gshe_extraction_resume";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    const std::string journal = (dir / "c.jsonl").string();
-
-    const std::vector<JobSpec> jobs = inplace_matrix();
-    CampaignOptions first;
-    first.threads = 4;
-    first.netlist_provider = tiny_circuit;
-    first.checkpoint_path = journal;
-    first.resume_from_checkpoint = false;
-    const std::string live =
-        engine::campaign_csv(CampaignRunner(first).run(jobs));
-
-    CampaignOptions second;
-    second.threads = 4;
-    second.netlist_provider = tiny_circuit;
-    second.checkpoint_path = journal;
-    const engine::CampaignResult resumed = CampaignRunner(second).run(jobs);
-    EXPECT_EQ(resumed.resumed, jobs.size());
-    EXPECT_EQ(engine::campaign_csv(resumed), live);
-    // The extraction column and its counters round-tripped through the
-    // journal.
-    for (const engine::JobResult& j : resumed.jobs) {
-        EXPECT_EQ(j.extraction, "inplace");
-        EXPECT_GE(j.result.inplace_extractions, 1u)
-            << j.circuit << "/" << j.attack;
-        EXPECT_GT(j.result.reencode_vars_avoided, 0u)
-            << j.circuit << "/" << j.attack;
-    }
-    fs::remove_all(dir);
-}
-
-// ---- journal schema ---------------------------------------------------------
-
-TEST(CheckpointExtraction, CounterFieldsRoundTripThroughARecord) {
-    JobSpec spec;
-    spec.circuit = "alpha";
-    spec.attack_options.extraction = "inplace";
-    engine::JobResult r;
-    r.index = 2;
-    r.circuit = "alpha";
-    r.extraction = "inplace";
-    r.result.status = attack::AttackResult::Status::Success;
-    r.result.inplace_extractions = 7;
-    r.result.reencode_vars_avoided = 1234;
-    r.result.reencode_clauses_avoided = 5678;
-
-    const std::string line =
-        engine::checkpoint::encode_record(42, spec, r, {});
-    const auto decoded = engine::checkpoint::decode_record(line);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->spec.attack_options.extraction, "inplace");
-    const engine::JobResult& d = decoded->result;
-    EXPECT_EQ(d.extraction, "inplace");
-    EXPECT_EQ(d.result.inplace_extractions, 7u);
-    EXPECT_EQ(d.result.reencode_vars_avoided, 1234u);
-    EXPECT_EQ(d.result.reencode_clauses_avoided, 5678u);
-}
-
-TEST(CheckpointExtraction, LegacySpecJsonAndJobKeysAreUnchanged) {
-    JobSpec legacy;
-    legacy.circuit = "alpha";
-    // The default spec must not mention the extraction mode at all: job
-    // keys are fnv1a over this JSON, and pre-extraction journals must keep
-    // resuming.
-    EXPECT_EQ(engine::checkpoint::spec_json(legacy).find("extraction"),
-              std::string::npos);
-
-    JobSpec inplace = legacy;
-    inplace.attack_options.extraction = "inplace";
-    const std::string json = engine::checkpoint::spec_json(inplace);
-    EXPECT_NE(json.find("\"extraction\":\"inplace\""), std::string::npos);
-    // Different extraction => different job identity: an inplace journal
-    // can never satisfy a fresh campaign (or vice versa).
-    EXPECT_NE(engine::checkpoint::job_key(1, 0, legacy),
-              engine::checkpoint::job_key(1, 0, inplace));
 }
 
 }  // namespace

@@ -2,29 +2,17 @@
 // + the Simulator rewrite): plan-kernel vs reference-walk word equality on
 // 200 randomized netlists (camo overrides, noisy flip masks, DFF words),
 // cone-restricted vs full sweep equality on every frontier read gate,
-// multi-word vs repeated-64 equality, plan-cache invalidation under
-// camouflage() / clear_camouflage(), and — the trajectory-changing axis —
-// that --dip-support=cone recovers correct keys wherever "full" does and
-// keeps the campaign CSV byte-identity contract (threads x resume) against
-// its own baseline.
+// multi-word vs repeated-64 equality, and plan-cache invalidation under
+// camouflage() / clear_camouflage().
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <random>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
-#include "attack/attack_result.hpp"
-#include "attack/miter_detail.hpp"
-#include "attack/oracle.hpp"
-#include "attack/sat_attack.hpp"
 #include "camo/cell_library.hpp"
 #include "camo/protect.hpp"
-#include "engine/campaign.hpp"
-#include "engine/checkpoint.hpp"
-#include "engine/report.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/sim_plan.hpp"
@@ -33,11 +21,6 @@
 namespace gshe {
 namespace {
 
-using attack::DipSupportMode;
-using engine::CampaignOptions;
-using engine::CampaignRunner;
-using engine::DefenseConfig;
-using engine::JobSpec;
 using netlist::Netlist;
 using netlist::Simulator;
 
@@ -292,11 +275,9 @@ TEST(PlanCache, CamouflageAndClearInvalidateThePlans) {
     const std::size_t plain_steps = nl.sim_plan().steps();
     ASSERT_TRUE(nl.camo_cells().empty());
     EXPECT_TRUE(nl.sim_plan().camo_step.empty());
-    // No camouflage: nothing is in the key support.
-    for (const char f : nl.key_support()) EXPECT_EQ(f, 0);
 
     // Camouflage a NAND/NOR gate in place: the rebuilt plan must bind the
-    // new camo step and the support must become non-empty.
+    // new camo step.
     netlist::GateId target = netlist::kNoGate;
     for (netlist::GateId g = 0; g < nl.size(); ++g) {
         const netlist::Gate& gate = nl.gate(g);
@@ -311,7 +292,6 @@ TEST(PlanCache, CamouflageAndClearInvalidateThePlans) {
     ASSERT_EQ(nl.camo_cells().size(), 1u);
     ASSERT_EQ(nl.sim_plan().camo_step.size(), 1u);
     EXPECT_EQ(nl.sim_plan().out[nl.sim_plan().camo_step[0]], target);
-    EXPECT_NE(nl.key_support()[target], 0);
     EXPECT_EQ(nl.sim_plan().steps(), plain_steps);
 
     // The rebuilt plan actually routes overrides: forcing the complement
@@ -326,10 +306,9 @@ TEST(PlanCache, CamouflageAndClearInvalidateThePlans) {
     const std::vector<core::Bool2> wrong{other};
     EXPECT_EQ(sim.run_with_functions(pi, wrong), sim.run_reference(pi, wrong));
 
-    // clear_camouflage() drops the binding again and empties the support.
+    // clear_camouflage() drops the binding again.
     nl.clear_camouflage();
     EXPECT_TRUE(nl.sim_plan().camo_step.empty());
-    for (const char f : nl.key_support()) EXPECT_EQ(f, 0);
     EXPECT_EQ(sim.run_all(pi), true_all);
 }
 
@@ -353,178 +332,6 @@ TEST(PlanCache, CopiesStartColdAndRebuildCorrectly) {
     const auto pi = random_words(rng, prot.netlist.inputs().size());
     EXPECT_EQ(Simulator(copy).run(pi), Simulator(prot.netlist).run(pi));
     EXPECT_EQ(copy.frontier_read_set(), prot.netlist.frontier_read_set());
-    EXPECT_EQ(copy.key_support(), prot.netlist.key_support());
-}
-
-// ---- DIP support mode registry ----------------------------------------------
-
-TEST(DipSupportRegistry, NamesRoundTrip) {
-    EXPECT_EQ(attack::dip_support_mode_name(DipSupportMode::Full), "full");
-    EXPECT_EQ(attack::dip_support_mode_name(DipSupportMode::Cone), "cone");
-    EXPECT_EQ(attack::dip_support_mode_from_name("full"),
-              DipSupportMode::Full);
-    EXPECT_EQ(attack::dip_support_mode_from_name("cone"),
-              DipSupportMode::Cone);
-    EXPECT_FALSE(attack::dip_support_mode_from_name("bogus").has_value());
-    EXPECT_EQ(attack::dip_support_mode_names(),
-              (std::vector<std::string>{"full", "cone"}));
-}
-
-TEST(DipSupportRegistry, ResolveThrowsListingKnownModes) {
-    EXPECT_THROW(attack::detail::resolve_dip_support_mode("bogus"),
-                 std::invalid_argument);
-    attack::AttackOptions opt;
-    opt.dip_support = "narrow";
-    EXPECT_THROW(attack::detail::resolve_dip_support_mode(opt),
-                 std::invalid_argument);
-    try {
-        attack::detail::resolve_dip_support_mode("bogus");
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("full"), std::string::npos);
-        EXPECT_NE(what.find("cone"), std::string::npos);
-    }
-}
-
-// ---- DIP support reduction: key-set equivalence -----------------------------
-
-TEST(DipSupportCone, RecoversCorrectKeysWhereverFullDoes) {
-    // Pinning non-support PIs must not change which key classes survive:
-    // both modes end with a functionally correct key on every instance,
-    // even though the DIP trajectories differ.
-    std::size_t with_keys = 0;
-    for (std::uint64_t seed = 1; seed <= 120; ++seed) {
-        netlist::RandomSpec spec;
-        spec.n_inputs = 10;
-        spec.n_outputs = 6;
-        spec.n_gates = 45;
-        spec.seed = seed;
-        const Netlist plain = netlist::random_circuit(spec);
-        const camo::Protection prot = camo::apply_camouflage(
-            plain, camo::select_gates(plain, 0.12, seed), camo::gshe16(),
-            seed);
-        if (!prot.netlist.camo_cells().empty()) ++with_keys;
-
-        attack::AttackResult results[2];
-        for (int m = 0; m < 2; ++m) {
-            attack::ExactOracle oracle(prot.netlist);
-            attack::AttackOptions opt;
-            opt.dip_support = m == 0 ? "full" : "cone";
-            results[m] = attack::sat_attack(prot.netlist, oracle, opt);
-        }
-        ASSERT_EQ(results[0].status, attack::AttackResult::Status::Success)
-            << "seed " << seed;
-        ASSERT_EQ(results[1].status, results[0].status) << "seed " << seed;
-        EXPECT_EQ(results[0].key_error_rate, 0.0) << "seed " << seed;
-        EXPECT_EQ(results[1].key_error_rate, 0.0) << "seed " << seed;
-    }
-    EXPECT_GT(with_keys, 90u);
-}
-
-// ---- DIP support reduction: campaign byte-identity --------------------------
-
-Netlist tiny_circuit(const std::string& name) {
-    netlist::RandomSpec spec;
-    spec.n_inputs = 12;
-    spec.n_outputs = 8;
-    spec.n_gates = 60;
-    spec.seed = name == "alpha" ? 11 : 22;
-    return netlist::random_circuit(spec, name);
-}
-
-std::vector<JobSpec> cone_matrix() {
-    DefenseConfig camo;
-    camo.kind = "camo";
-    camo.fraction = 0.12;
-    camo.protect_seed = 0xC0DE;
-    attack::AttackOptions opt;
-    opt.dip_support = "cone";
-    return CampaignRunner::cross_product({"alpha", "beta"}, {camo},
-                                         {"sat", "appsat"}, {1, 2}, opt);
-}
-
-TEST(DipSupportCampaign, CsvByteIdenticalAcrossThreadCounts) {
-    const std::vector<JobSpec> jobs = cone_matrix();
-    std::vector<std::string> csvs;
-    for (const int threads : {1, 8}) {
-        CampaignOptions options;
-        options.threads = threads;
-        options.netlist_provider = tiny_circuit;
-        csvs.push_back(
-            engine::campaign_csv(CampaignRunner(options).run(jobs)));
-    }
-    EXPECT_EQ(csvs[0], csvs[1]);
-    EXPECT_NE(csvs[0].find("success"), std::string::npos);
-}
-
-TEST(DipSupportCampaign, ResumeReplaysByteIdentically) {
-    namespace fs = std::filesystem;
-    const fs::path dir = fs::temp_directory_path() / "gshe_sim_cone_resume";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    const std::string journal = (dir / "c.jsonl").string();
-
-    const std::vector<JobSpec> jobs = cone_matrix();
-    CampaignOptions first;
-    first.threads = 4;
-    first.netlist_provider = tiny_circuit;
-    first.checkpoint_path = journal;
-    first.resume_from_checkpoint = false;
-    const std::string live =
-        engine::campaign_csv(CampaignRunner(first).run(jobs));
-
-    CampaignOptions second;
-    second.threads = 4;
-    second.netlist_provider = tiny_circuit;
-    second.checkpoint_path = journal;
-    const engine::CampaignResult resumed = CampaignRunner(second).run(jobs);
-    EXPECT_EQ(resumed.resumed, jobs.size());
-    EXPECT_EQ(engine::campaign_csv(resumed), live);
-    // The dip-support column round-tripped through the journal.
-    for (const engine::JobResult& j : resumed.jobs)
-        EXPECT_EQ(j.dip_support, "cone") << j.circuit << "/" << j.attack;
-    fs::remove_all(dir);
-}
-
-// ---- journal schema ---------------------------------------------------------
-
-TEST(CheckpointDipSupport, LegacySpecJsonAndJobKeysAreUnchanged) {
-    JobSpec legacy;
-    legacy.circuit = "alpha";
-    // The default spec must not mention dip_support at all: job keys are
-    // fnv1a over this JSON, and pre-dip-support journals must keep resuming.
-    EXPECT_EQ(engine::checkpoint::spec_json(legacy).find("dip_support"),
-              std::string::npos);
-
-    JobSpec cone = legacy;
-    cone.attack_options.dip_support = "cone";
-    const std::string json = engine::checkpoint::spec_json(cone);
-    EXPECT_NE(json.find("\"dip_support\":\"cone\""), std::string::npos);
-    // Different support mode => different job identity: a cone journal can
-    // never satisfy a full campaign (or vice versa).
-    EXPECT_NE(engine::checkpoint::job_key(1, 0, legacy),
-              engine::checkpoint::job_key(1, 0, cone));
-}
-
-TEST(CheckpointDipSupport, FieldsRoundTripThroughARecord) {
-    JobSpec spec;
-    spec.circuit = "alpha";
-    spec.attack_options.dip_support = "cone";
-    engine::JobResult r;
-    r.index = 2;
-    r.circuit = "alpha";
-    r.dip_support = "cone";
-    r.result.status = attack::AttackResult::Status::Success;
-    r.oracle_cache.lanes_deduped = 41;
-
-    const std::string line =
-        engine::checkpoint::encode_record(42, spec, r, {});
-    const auto decoded = engine::checkpoint::decode_record(line);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->spec.attack_options.dip_support, "cone");
-    EXPECT_EQ(decoded->result.dip_support, "cone");
-    EXPECT_EQ(decoded->result.oracle_cache.lanes_deduped, 41u);
 }
 
 }  // namespace

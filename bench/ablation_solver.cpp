@@ -1,39 +1,33 @@
-// A2 — Ablation: which CDCL solver features carry the attack, and how the
-// in-tree solver compares against an external backend. Runs the identical
-// camouflaged-circuit attack with individual solver features disabled, plus
-// one baseline job per additional registered SAT backend that is available
-// (backend "dimacs" joins when GSHE_DIMACS_SOLVER names a solver binary).
+// A2 — Ablation: which CDCL solver features carry the attack. Runs the
+// identical camouflaged-circuit attack with individual solver features
+// disabled, then a conflict-budgeted inprocessing axis.
 // Expected: clause learning is load-bearing (without it the attack times
 // out); VSIDS and restarts give large constant factors.
 //
 // The configurations become one CampaignRunner job matrix: JobSpec carries
 // per-job AttackOptions, so each job pins its own solver feature toggles
-// and backend while circuit, defense and selection stay fixed. Per-job
-// wall-seconds by backend land in BENCH_solver.json (the perf-trajectory
-// seed; see bench::write_solver_bench_json).
-#include <cmath>
+// while circuit, defense and selection stay fixed. Per-job wall-seconds
+// land in BENCH_solver.json (the perf-trajectory seed; see
+// bench::write_solver_bench_json).
+#include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/ascii_table.hpp"
 #include "engine/campaign.hpp"
-#include "netlist/corpus.hpp"
-#include "sat/backend.hpp"
 
 using namespace gshe;
 using namespace gshe::attack;
 using namespace gshe::engine;
 
 int main() {
-    bench::banner("ABLATION", "CDCL solver features and SAT backends under the SAT attack");
+    bench::banner("ABLATION", "CDCL solver features under the SAT attack");
     const double timeout = std::max(bench::attack_timeout_s(), 5.0);
 
     struct Config {
         std::string name;
-        std::string backend;
         sat::Solver::Options opts;
         // Deterministic conflict cap (0 = wall clock only). The
         // inprocessing axis runs budgeted so its baseline-vs-pass deltas
@@ -41,39 +35,25 @@ int main() {
         std::uint64_t max_conflicts = 0;
     };
     constexpr std::uint64_t kInprocessBudget = 50000;
-    std::vector<Config> configs = {
-        {"full CDCL (baseline)", "internal", {}},
-        {"no VSIDS (index order)", "internal", {.use_vsids = false}},
-        {"no restarts", "internal", {.use_restarts = false}},
-        {"no phase saving", "internal", {.use_phase_saving = false}},
-        {"no clause learning (DPLL)", "internal", {.use_learning = false}},
+    const std::vector<Config> configs = {
+        {"full CDCL (baseline)", {}},
+        {"no VSIDS (index order)", {.use_vsids = false}},
+        {"no restarts", {.use_restarts = false}},
+        {"no phase saving", {.use_phase_saving = false}},
+        {"no clause learning (DPLL)", {.use_learning = false}},
         // Inprocessing ablation axis: one budgeted baseline plus each pass
         // alone and all passes combined — the BENCH_solver.json rows CI
         // tracks for baseline-vs-inprocessing wall/conflict deltas.
-        {"budgeted baseline (no inprocessing)", "internal", {},
+        {"budgeted baseline (no inprocessing)", {}, kInprocessBudget},
+        {"inprocessing: vivification", {.use_vivification = true},
          kInprocessBudget},
-        {"inprocessing: vivification", "internal",
-         {.use_vivification = true}, kInprocessBudget},
-        {"inprocessing: XOR recovery", "internal",
-         {.use_xor_recovery = true}, kInprocessBudget},
-        {"inprocessing: BVE", "internal", {.use_bve = true},
+        {"inprocessing: XOR recovery", {.use_xor_recovery = true},
          kInprocessBudget},
-        {"inprocessing: viv+xor+bve", "internal",
+        {"inprocessing: BVE", {.use_bve = true}, kInprocessBudget},
+        {"inprocessing: viv+xor+bve",
          {.use_vivification = true, .use_xor_recovery = true, .use_bve = true},
          kInprocessBudget},
     };
-    // Backend comparison rows: default heuristics on every other available
-    // backend (feature toggles are internal-only knobs).
-    for (const std::string& name : sat::backend_names()) {
-        if (name == "internal") continue;
-        if (!sat::backend_by_name(name).available()) {
-            std::printf("note: backend '%s' unavailable, skipping (%s)\n",
-                        name.c_str(),
-                        sat::backend_by_name(name).label().c_str());
-            continue;
-        }
-        configs.push_back({"external solver (" + name + ")", name, {}});
-    }
 
     // 5% protection: solvable by a competent CDCL within seconds, so the
     // feature gaps (and the DPLL collapse) are visible rather than all-t-o.
@@ -91,7 +71,6 @@ int main() {
         if (c.max_conflicts > 0)
             spec.attack_options.max_conflicts = c.max_conflicts;
         spec.attack_options.solver = c.opts;
-        spec.attack_options.solver_backend = c.backend;
         labels.push_back(c.name);
         jobs.push_back(std::move(spec));
     }
@@ -104,12 +83,12 @@ int main() {
                 campaign.jobs.front().protected_cells, timeout);
 
     AsciiTable t("Attack cost by solver configuration");
-    t.header({"configuration", "backend", "status", "time", "DIPs",
-              "conflicts", "propagations"});
+    t.header({"configuration", "status", "time", "DIPs", "conflicts",
+              "propagations"});
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const JobResult& j = campaign.jobs[i];
         const AttackResult& res = j.result;
-        t.row({configs[i].name, j.solver_backend, bench::status_cell(j),
+        t.row({configs[i].name, bench::status_cell(j),
                AsciiTable::runtime(res.seconds, res.timed_out()),
                std::to_string(res.iterations),
                std::to_string(res.solver_stats.conflicts),
@@ -119,110 +98,5 @@ int main() {
     std::printf("campaign: %zu jobs, %.1f s wall on %d thread(s)\n",
                 campaign.jobs.size(), campaign.wall_seconds, campaign.threads);
     bench::write_solver_bench_json("BENCH_solver.json", campaign, labels);
-
-    // ---- portfolio width sweep ---------------------------------------------
-    // Same attack on a small instance matrix, backend "portfolio" in
-    // wall-clock race mode at widths {1, 2, 4} against the "internal"
-    // baseline. The race tier is where a portfolio earns wall-clock: each
-    // miter solve is won by whichever diversified worker finishes first
-    // (and the LBD<=2 clause exchange cuts the winner's conflict count well
-    // below the single-engine baseline), so with one core per worker the
-    // hard solves collapse to the min over K trajectories. With fewer cores
-    // than workers the threads time-slice and the sweep instead measures
-    // the multiplexing penalty — host_cpus is recorded in the JSON so the
-    // perf trajectory only compares like with like. Per-width geomean
-    // speedups land in BENCH_portfolio.json.
-    struct Instance {
-        double fraction;
-        std::uint64_t protect_seed;
-    };
-    const std::vector<Instance> instances = {
-        {0.08, 0xAB2}, {0.12, 0xAB2}, {0.12, 0xAB3}};
-    const unsigned host_cpus = std::thread::hardware_concurrency();
-    if (host_cpus < 4)
-        std::printf(
-            "note: %u core(s) < width 4 — race workers will time-slice, so "
-            "wall-clock speedups below reflect scheduling, not the "
-            "portfolio\n",
-            host_cpus);
-    std::vector<std::string> instance_labels;
-    for (const Instance& inst : instances) {
-        char label[64];
-        std::snprintf(label, sizeof label, "c7552 camo %.0f%% seed %llx",
-                      inst.fraction * 100.0,
-                      static_cast<unsigned long long>(inst.protect_seed));
-        instance_labels.push_back(label);
-    }
-
-    auto run_matrix = [&](const std::string& backend, int width, bool race) {
-        std::vector<JobSpec> sweep;
-        for (const Instance& inst : instances) {
-            JobSpec spec;
-            spec.circuit = "c7552";
-            spec.defense.kind = "camo";
-            spec.defense.library = "gshe16";
-            spec.defense.fraction = inst.fraction;
-            spec.defense.protect_seed = inst.protect_seed;
-            spec.attack = "sat";
-            spec.attack_options.timeout_seconds = timeout;
-            spec.attack_options.solver_backend = backend;
-            spec.attack_options.solver.portfolio_width = width;
-            spec.attack_options.solver.portfolio_race = race;
-            sweep.push_back(std::move(spec));
-        }
-        CampaignOptions sweep_opts;
-        sweep_opts.threads = 1;  // the portfolio threads internally per solve
-        return CampaignRunner(sweep_opts).run(sweep);
-    };
-
-    const CampaignResult baseline = run_matrix("internal", 1, false);
-    std::vector<double> internal_seconds;
-    for (const JobResult& j : baseline.jobs)
-        internal_seconds.push_back(j.result.seconds);
-
-    std::vector<bench::PortfolioWidthSummary> widths;
-    for (const int width : {1, 2, 4}) {
-        const CampaignResult run = run_matrix("portfolio", width, true);
-        bench::PortfolioWidthSummary s;
-        s.width = width;
-        s.race = true;
-        s.wall_seconds = run.wall_seconds;
-        double log_sum = 0.0;
-        for (std::size_t i = 0; i < run.jobs.size(); ++i) {
-            const JobResult& j = run.jobs[i];
-            s.attack_seconds.push_back(j.result.seconds);
-            s.statuses.push_back(bench::status_cell(j));
-            // Both timed out: no information, count the ratio as 1x.
-            const bool both_to =
-                j.result.timed_out() && baseline.jobs[i].result.timed_out();
-            const double ratio =
-                both_to ? 1.0
-                        : internal_seconds[i] /
-                              std::max(j.result.seconds, 1e-4);
-            log_sum += std::log(ratio);
-        }
-        s.geomean_speedup =
-            std::exp(log_sum / static_cast<double>(run.jobs.size()));
-        widths.push_back(std::move(s));
-    }
-
-    AsciiTable pt("Portfolio race: wall-clock vs backend internal");
-    pt.header({"width", "instance", "status", "time", "internal", "speedup"});
-    for (const bench::PortfolioWidthSummary& s : widths) {
-        for (std::size_t i = 0; i < instances.size(); ++i)
-            pt.row({std::to_string(s.width), instance_labels[i],
-                    s.statuses[i],
-                    AsciiTable::runtime(s.attack_seconds[i], false),
-                    AsciiTable::runtime(internal_seconds[i], false),
-                    bench::eng(internal_seconds[i] /
-                                   std::max(s.attack_seconds[i], 1e-4),
-                               "x")});
-        char geo[64];
-        std::snprintf(geo, sizeof geo, "geomean %.2fx", s.geomean_speedup);
-        pt.row({std::to_string(s.width), "(all)", "", "", "", geo});
-    }
-    std::puts(pt.render().c_str());
-    bench::write_portfolio_bench_json("BENCH_portfolio.json", instance_labels,
-                                      internal_seconds, widths, host_cpus);
     return 0;
 }

@@ -23,9 +23,7 @@ AttackResult appsat_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
         return res;
     }
 
-    const std::unique_ptr<sat::SolverBackend> solver_ptr =
-        detail::make_attack_solver(base);
-    sat::SolverBackend& solver = *solver_ptr;
+    sat::Solver solver(base.solver);
     sat::CircuitEncoder encoder(solver, detail::resolve_encoder_mode(base));
     const auto enc1 = encoder.encode(camo_nl);
     const auto enc2 = encoder.encode(camo_nl, enc1.pis);
@@ -153,7 +151,6 @@ AttackResult appsat_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
     }
 
     res.solver_stats = solver.stats();
-    detail::capture_solver_identity(res, solver);
     sat::accumulate(res.encoder_stats, encoder.stats());
     detail::finalize_result(res, camo_nl, oracle, options.base, timer);
     return res;

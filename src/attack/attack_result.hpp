@@ -29,12 +29,6 @@ struct AttackOptions {
     /// Hard cap on DIP iterations (safety net; effectively unbounded).
     std::size_t max_iterations = 1u << 20;
     sat::Solver::Options solver;
-    /// SAT backend registry key (sat/backend.hpp): "internal" (in-tree
-    /// CDCL, deterministic — the default) or "dimacs" (external solver
-    /// subprocess). Unknown names make the attack throw with the list of
-    /// registered backends. Only "internal" honours the max_conflicts
-    /// determinism contract.
-    std::string solver_backend = "internal";
     /// Seed for attack-internal randomness (AppSAT's reinforcement
     /// sampling); the campaign engine overrides it with the derived
     /// per-job seed so seed-replicated jobs are independent.
@@ -74,11 +68,6 @@ struct AttackResult {
     double key_error_rate = 1.0;
     bool key_exact = false;  ///< error rate was 0 on the sample
     sat::Solver::Stats solver_stats;
-    /// Portfolio-backend telemetry (the "internal" fallback idiom: 0 / -1
-    /// for single-engine backends). Width is the worker count; winner is
-    /// the worker that decided the miter solver's last decisive solve.
-    int portfolio_width = 0;
-    int portfolio_winner = -1;
     /// CNF-emission telemetry, summed over every encoder the attack used
     /// (Double DIP runs two miters). Telemetry only: rides the JSON report
     /// and journal, never the deterministic CSV.

@@ -22,9 +22,7 @@ AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
 
     // Phase 1: 2-DIP miter. Four circuit copies share the inputs; pairs
     // (k1,k2) and (k3,k4) each disagree; all cross pairs are distinct keys.
-    const std::unique_ptr<sat::SolverBackend> solver_ptr =
-        detail::make_attack_solver(options);
-    sat::SolverBackend& solver = *solver_ptr;
+    sat::Solver solver(options.solver);
     sat::CircuitEncoder encoder(solver, detail::resolve_encoder_mode(options));
     const auto enc1 = encoder.encode(camo_nl);
     const auto enc2 = encoder.encode(camo_nl, enc1.pis);
@@ -42,7 +40,6 @@ AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
         if (res.iterations >= options.max_iterations) {
             res.status = AttackResult::Status::IterationCap;
             res.solver_stats = solver.stats();
-            detail::capture_solver_identity(res, solver);
             sat::accumulate(res.encoder_stats, encoder.stats());
             detail::finalize_result(res, camo_nl, oracle, options, timer);
             return res;
@@ -50,7 +47,6 @@ AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
         if (options.timeout_seconds - timer.seconds() <= 0.0) {
             res.status = AttackResult::Status::TimedOut;
             res.solver_stats = solver.stats();
-            detail::capture_solver_identity(res, solver);
             sat::accumulate(res.encoder_stats, encoder.stats());
             detail::finalize_result(res, camo_nl, oracle, options, timer);
             return res;
@@ -61,7 +57,6 @@ AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
         if (r == sat::SolveResult::Unknown) {
             res.status = AttackResult::Status::TimedOut;
             res.solver_stats = solver.stats();
-            detail::capture_solver_identity(res, solver);
             sat::accumulate(res.encoder_stats, encoder.stats());
             detail::finalize_result(res, camo_nl, oracle, options, timer);
             return res;

@@ -1,9 +1,9 @@
 #include "attack/equivalence.hpp"
 
-#include <memory>
 #include <stdexcept>
 
 #include "attack/miter_detail.hpp"
+#include "sat/solver.hpp"
 #include "sat/tseitin.hpp"
 
 namespace gshe::attack {
@@ -41,7 +41,6 @@ EquivResult check_equivalence(const netlist::Netlist& a,
                               const netlist::Netlist& b,
                               double timeout_seconds,
                               const sat::SolverOptions& opts,
-                              const std::string& solver_backend,
                               const std::string& encoder) {
     if (a.inputs().size() != b.inputs().size() ||
         a.outputs().size() != b.outputs().size())
@@ -51,12 +50,11 @@ EquivResult check_equivalence(const netlist::Netlist& a,
             "check_equivalence: camouflaged netlists need a key "
             "(use check_key_equivalence)");
 
-    const std::unique_ptr<sat::SolverBackend> solver =
-        sat::make_backend(solver_backend, opts);
-    sat::CircuitEncoder enc(*solver, detail::resolve_encoder_mode(encoder));
+    sat::Solver solver(opts);
+    sat::CircuitEncoder enc(solver, detail::resolve_encoder_mode(encoder));
     const auto enc_a = enc.encode(a);
     const auto enc_b = enc.encode(b, enc_a.pis);
-    return run_miter(*solver, enc, enc_a.pis, enc_a.outs, enc_b.outs,
+    return run_miter(solver, enc, enc_a.pis, enc_a.outs, enc_b.outs,
                      timeout_seconds);
 }
 
@@ -64,25 +62,23 @@ EquivResult check_key_equivalence(const netlist::Netlist& camo_nl,
                                   const camo::Key& key,
                                   double timeout_seconds,
                                   const sat::SolverOptions& opts,
-                                  const std::string& solver_backend,
                                   const std::string& encoder) {
     if (key.bits.size() != static_cast<std::size_t>(camo_nl.key_bit_count()))
         throw std::invalid_argument("check_key_equivalence: key size mismatch");
 
-    const std::unique_ptr<sat::SolverBackend> solver =
-        sat::make_backend(solver_backend, opts);
-    sat::CircuitEncoder enc(*solver, detail::resolve_encoder_mode(encoder));
+    sat::Solver solver(opts);
+    sat::CircuitEncoder enc(solver, detail::resolve_encoder_mode(encoder));
     // Copy A: key variables pinned to the candidate key.
     const auto enc_a = enc.encode(camo_nl);
     for (std::size_t i = 0; i < enc_a.keys.size(); ++i)
-        sat::fix_var(*solver, enc_a.keys[i], key.bits[i]);
+        sat::fix_var(solver, enc_a.keys[i], key.bits[i]);
     // Copy B: key variables pinned to the true key (ground truth).
     const camo::Key truth = camo::true_key(camo_nl);
     const auto enc_b = enc.encode(camo_nl, enc_a.pis);
     for (std::size_t i = 0; i < enc_b.keys.size(); ++i)
-        sat::fix_var(*solver, enc_b.keys[i], truth.bits[i]);
+        sat::fix_var(solver, enc_b.keys[i], truth.bits[i]);
 
-    return run_miter(*solver, enc, enc_a.pis, enc_a.outs, enc_b.outs,
+    return run_miter(solver, enc, enc_a.pis, enc_a.outs, enc_b.outs,
                      timeout_seconds);
 }
 

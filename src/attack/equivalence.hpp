@@ -23,13 +23,12 @@ struct EquivResult {
 
 /// Checks whether two plain combinational netlists (same input/output
 /// counts, matched by position) are functionally equivalent. The miter is
-/// solved on the SAT backend named by `solver_backend` (sat/backend.hpp)
-/// and built by the CNF encoder named by `encoder` (sat/encoder.hpp).
+/// built by the CNF encoder named by `encoder` (sat/encoder.hpp) and solved
+/// by the in-tree CDCL solver.
 EquivResult check_equivalence(const netlist::Netlist& a,
                               const netlist::Netlist& b,
                               double timeout_seconds = 60.0,
                               const sat::SolverOptions& opts = {},
-                              const std::string& solver_backend = "internal",
                               const std::string& encoder = "legacy");
 
 /// Checks whether `camo_nl` under `key` equals its own true functionality.
@@ -37,8 +36,6 @@ EquivResult check_key_equivalence(const netlist::Netlist& camo_nl,
                                   const camo::Key& key,
                                   double timeout_seconds = 60.0,
                                   const sat::SolverOptions& opts = {},
-                                  const std::string& solver_backend =
-                                      "internal",
                                   const std::string& encoder = "legacy");
 
 }  // namespace gshe::attack

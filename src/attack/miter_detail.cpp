@@ -6,17 +6,6 @@
 
 namespace gshe::attack::detail {
 
-std::unique_ptr<sat::SolverBackend> make_attack_solver(
-    const AttackOptions& options) {
-    // The attack seed (engine-derived, per job) rides into the solver
-    // options: the portfolio backend diversifies its workers from it, so a
-    // job's portfolio is a pure function of its derived seed. The internal
-    // backend draws nothing from it under default options.
-    sat::SolverOptions solver_opts = options.solver;
-    solver_opts.seed = options.seed;
-    return sat::make_backend(options.solver_backend, solver_opts);
-}
-
 sat::EncoderMode resolve_encoder_mode(const std::string& name) {
     if (const auto mode = sat::encoder_mode_from_name(name)) return *mode;
     std::string msg = "unknown encoder '" + name + "'; known encoders:";
@@ -26,12 +15,6 @@ sat::EncoderMode resolve_encoder_mode(const std::string& name) {
 
 sat::EncoderMode resolve_encoder_mode(const AttackOptions& options) {
     return resolve_encoder_mode(options.encoder);
-}
-
-void capture_solver_identity(AttackResult& res,
-                             const sat::SolverBackend& solver) {
-    res.portfolio_width = solver.portfolio_width();
-    res.portfolio_winner = solver.portfolio_last_winner();
 }
 
 void set_remaining_budget(sat::SolverBackend& solver,
@@ -95,9 +78,7 @@ AttackResult run_single_dip_loop(const netlist::Netlist& camo_nl,
     AttackResult res;
     res.iterations = prior_iterations;
 
-    const std::unique_ptr<sat::SolverBackend> solver_ptr =
-        make_attack_solver(options);
-    sat::SolverBackend& solver = *solver_ptr;
+    sat::Solver solver(options.solver);
     sat::CircuitEncoder encoder(solver, resolve_encoder_mode(options));
     const auto enc1 = encoder.encode(camo_nl);
     const auto enc2 = encoder.encode(camo_nl, enc1.pis);
@@ -141,7 +122,6 @@ AttackResult run_single_dip_loop(const netlist::Netlist& camo_nl,
     }
 
     res.solver_stats = solver.stats();
-    capture_solver_identity(res, solver);
     sat::accumulate(res.encoder_stats, encoder.stats());
     return res;
 }

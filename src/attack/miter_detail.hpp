@@ -6,12 +6,9 @@
 // Double DIP falls back to it (seeded with its phase-1 observations) once no
 // 2-DIP remains. Both budget dimensions — wall clock and the deterministic
 // cumulative-conflict cap of AttackOptions::max_conflicts — are applied on
-// every solve through the one shared budget helper, and every solver is
-// constructed through the sat::SolverBackend registry so attacks run
-// unchanged on the in-tree CDCL ("internal") or an external DIMACS solver
-// ("dimacs").
+// every solve through the one shared budget helper. Every miter runs on the
+// in-tree CDCL sat::Solver configured by AttackOptions::solver.
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -51,25 +48,11 @@ struct History {
     }
 };
 
-/// Constructs the solver an attack will run on: the backend named by
-/// AttackOptions::solver_backend, configured with its solver options.
-/// Throws std::invalid_argument (listing the registered backends) for
-/// unknown names.
-std::unique_ptr<sat::SolverBackend> make_attack_solver(
-    const AttackOptions& options);
-
 /// Resolves an encoder-mode name ("legacy"/"compact") to the enum. Throws
-/// std::invalid_argument (listing the known modes) for unknown names — the
-/// encoder analogue of the solver-backend registry contract.
+/// std::invalid_argument (listing the known modes) for unknown names.
 sat::EncoderMode resolve_encoder_mode(const std::string& name);
 /// Same, reading AttackOptions::encoder.
 sat::EncoderMode resolve_encoder_mode(const AttackOptions& options);
-
-/// Copies the backend's portfolio telemetry (width, last decisive winner)
-/// into the result — applied wherever solver_stats is captured, so the
-/// engine's portfolio_winner/portfolio_width columns ride every attack.
-void capture_solver_identity(AttackResult& res,
-                             const sat::SolverBackend& solver);
 
 /// The per-solve budget every attack applies: the wall-clock remainder of
 /// the attack's timeout plus the deterministic conflict cap. This is the

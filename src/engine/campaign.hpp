@@ -64,10 +64,6 @@ struct JobResult {
     std::string circuit;
     std::string defense;     ///< DefenseConfig::label()
     std::string attack;
-    /// SAT backend the attack ran on (AttackOptions::solver_backend) —
-    /// reported alongside the attack name so backend comparisons need no
-    /// extra instrumentation.
-    std::string solver_backend = "internal";
     /// CNF encoder mode the attack used (AttackOptions::encoder). Rides the
     /// JSON report and journal only — the deterministic CSV layout predates
     /// encoder selection and stays frozen.

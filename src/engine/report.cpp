@@ -11,19 +11,12 @@ std::string campaign_csv(const CampaignResult& result, bool include_timing) {
     // stream data — deterministic with the query memo on or off, at any
     // thread/shard count. Memo hit/miss counters are scheduling-dependent
     // and ride the JSON report only, like wall-clock.
-    //
-    // The two portfolio_* additions (PR 6) follow the "internal fallback"
-    // idiom: -1/0 for single-engine backends. In the conflict-budgeted tier
-    // the winner (lowest decisive worker index) is deterministic; in the
-    // declared non-deterministic race tier it records which worker won the
-    // wall-clock race.
     std::vector<std::string> header = {
         "job",           "circuit",        "defense",      "attack",
-        "solver",        "seed",           "status",       "iterations",
+        "seed",          "status",         "iterations",
         "oracle_patterns", "oracle_calls", "protected_cells", "key_bits",
         "key_error_rate", "key_exact",     "conflicts",    "decisions",
-        "propagations",  "restarts",       "portfolio_winner",
-        "portfolio_width", "oracle_contract",
+        "propagations",  "restarts",       "oracle_contract",
         "oracle_group",  "oracle_group_size", "oracle_unique", "error"};
     if (include_timing) {
         header.push_back("attack_seconds");
@@ -39,7 +32,6 @@ std::string campaign_csv(const CampaignResult& result, bool include_timing) {
             j.circuit,
             j.defense,
             j.attack,
-            j.solver_backend,
             Csv::num(j.spec_seed),
             j.error.empty() ? attack::AttackResult::status_name(r.status)
                             : "error",
@@ -54,8 +46,6 @@ std::string campaign_csv(const CampaignResult& result, bool include_timing) {
             Csv::num(r.solver_stats.decisions),
             Csv::num(r.solver_stats.propagations),
             Csv::num(r.solver_stats.restarts),
-            std::to_string(r.portfolio_winner),
-            std::to_string(r.portfolio_width),
             j.oracle_contract,
             Csv::num(j.oracle_group),
             Csv::num(j.oracle_group_size),
@@ -91,8 +81,6 @@ std::string campaign_json(const CampaignResult& result) {
         w.value(j.defense);
         w.key("attack");
         w.value(j.attack);
-        w.key("solver_backend");
-        w.value(j.solver_backend);
         w.key("encoder");
         w.value(j.encoder);
         w.key("seed");
@@ -127,10 +115,6 @@ std::string campaign_json(const CampaignResult& result) {
             w.value(r.solver_stats.propagations);
             w.key("restarts");
             w.value(r.solver_stats.restarts);
-            w.key("portfolio_winner");
-            w.value(static_cast<std::int64_t>(r.portfolio_winner));
-            w.key("portfolio_width");
-            w.value(static_cast<std::int64_t>(r.portfolio_width));
             w.end_object();
             // CNF-emission telemetry. JSON-only, like wall clock: the
             // deterministic CSV layout stays frozen.

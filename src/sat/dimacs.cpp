@@ -1,6 +1,5 @@
 #include "sat/dimacs.hpp"
 
-#include <cctype>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -69,100 +68,6 @@ bool load_into_solver(const CnfFormula& f, SolverBackend& solver) {
     for (const Clause& c : f.clauses)
         if (!solver.add_clause(c)) return false;
     return true;
-}
-
-namespace {
-
-/// Scans a comment/stat line for "<key> ... : <number>" (the shape both
-/// MiniSat's and CryptoMiniSat's end-of-run statistics use) and adds the
-/// number to *counter. Lenient by design: absent keys leave counters alone.
-void scrape_counter(const std::string& line, const char* key,
-                    std::uint64_t* counter) {
-    const std::size_t at = line.find(key);
-    if (at == std::string::npos) return;
-    std::size_t i = at + std::string(key).size();
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    if (i >= line.size() || line[i] != ':') return;
-    ++i;
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    if (i >= line.size() || !std::isdigit(static_cast<unsigned char>(line[i])))
-        return;
-    *counter += std::strtoull(line.c_str() + i, nullptr, 10);
-}
-
-}  // namespace
-
-SolverOutput parse_solver_output(std::istream& in) {
-    SolverOutput out;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (line.empty()) continue;
-
-        // Status: "s SATISFIABLE" (SAT competition) or a bare
-        // "SATISFIABLE" line (MiniSat's stdout).
-        std::string status;
-        if (line.rfind("s ", 0) == 0)
-            status = line.substr(2);
-        else if (line == "SATISFIABLE" || line == "UNSATISFIABLE" ||
-                 line == "INDETERMINATE" || line == "UNKNOWN")
-            status = line;
-        if (!status.empty()) {
-            while (!status.empty() && status.back() == ' ') status.pop_back();
-            if (status == "SATISFIABLE")
-                out.status = SolveResult::Sat;
-            else if (status == "UNSATISFIABLE")
-                out.status = SolveResult::Unsat;
-            else
-                out.status = SolveResult::Unknown;
-            continue;
-        }
-
-        // Model: one or more "v " records, 0-terminated. MiniSat writes the
-        // same "<lit>... 0" payload without the prefix into its output file;
-        // accept both by treating any line that parses as literals as model
-        // content once a SAT status or "v" record has been seen.
-        std::string payload;
-        if (line.rfind("v ", 0) == 0 || line == "v") {
-            payload = line.size() > 1 ? line.substr(2) : "";
-        } else if (line.rfind("c", 0) == 0) {
-            scrape_counter(line, "conflicts", &out.stats.conflicts);
-            scrape_counter(line, "decisions", &out.stats.decisions);
-            scrape_counter(line, "propagations", &out.stats.propagations);
-            scrape_counter(line, "restarts", &out.stats.restarts);
-            continue;
-        } else if (out.status == SolveResult::Sat && !out.model_complete &&
-                   (line[0] == '-' ||
-                    std::isdigit(static_cast<unsigned char>(line[0])))) {
-            payload = line;
-        } else {
-            // MiniSat-style statistics lines carry no "c" prefix.
-            scrape_counter(line, "conflicts", &out.stats.conflicts);
-            scrape_counter(line, "decisions", &out.stats.decisions);
-            scrape_counter(line, "propagations", &out.stats.propagations);
-            scrape_counter(line, "restarts", &out.stats.restarts);
-            continue;
-        }
-
-        std::istringstream lits(payload);
-        long v = 0;
-        while (lits >> v) {
-            if (v == 0) {
-                out.model_complete = true;
-                break;
-            }
-            const std::size_t var = static_cast<std::size_t>(std::labs(v)) - 1;
-            if (out.model.size() <= var)
-                out.model.resize(var + 1, LBool::Undef);
-            out.model[var] = v > 0 ? LBool::True : LBool::False;
-        }
-    }
-    return out;
-}
-
-SolverOutput parse_solver_output_string(const std::string& text) {
-    std::istringstream in(text);
-    return parse_solver_output(in);
 }
 
 }  // namespace gshe::sat

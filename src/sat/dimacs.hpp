@@ -1,7 +1,7 @@
 #pragma once
-// DIMACS CNF import/export and solver-output parsing — the interop layer
-// behind the "dimacs" subprocess backend (sat/dimacs_backend.hpp) and a
-// debugging aid for the attack miters.
+// DIMACS CNF import/export, kept as a debugging aid: a formula can be
+// written out for an external solver, or read back and loaded into the
+// in-tree one.
 
 #include <iosfwd>
 #include <string>
@@ -31,25 +31,5 @@ void write_dimacs(std::ostream& out, const CnfFormula& f);
 /// Loads a formula into a solver backend (creates vars 0..num_vars-1).
 /// Returns false if the formula is trivially unsatisfiable during load.
 bool load_into_solver(const CnfFormula& f, SolverBackend& solver);
-
-/// Parsed SAT-competition style solver output: an "s SATISFIABLE" /
-/// "s UNSATISFIABLE" status line (bare MiniSat-style "SATISFIABLE" lines
-/// are accepted too), a model spread over one or more "v " records
-/// terminated by 0, and whatever work counters the solver reports in its
-/// comment lines ("c conflicts : 123 ...").
-struct SolverOutput {
-    SolveResult status = SolveResult::Unknown;
-    /// Model by 0-based variable; Undef for variables the solver never
-    /// mentioned. Meaningful only for status == Sat.
-    std::vector<LBool> model;
-    /// True once the model's terminating 0 was seen (a missing terminator
-    /// means the output was truncated mid-model).
-    bool model_complete = false;
-    /// Work counters scraped from comment lines; zero when unreported.
-    SolverStats stats;
-};
-
-SolverOutput parse_solver_output(std::istream& in);
-SolverOutput parse_solver_output_string(const std::string& text);
 
 }  // namespace gshe::sat

@@ -8,11 +8,6 @@
 
 namespace gshe::sat {
 
-const std::string& Solver::backend_name() const {
-    static const std::string name = "internal";
-    return name;
-}
-
 Var Solver::new_var() {
     const Var v = static_cast<Var>(assign_.size());
     assign_.push_back(LBool::Undef);
@@ -20,7 +15,7 @@ Var Solver::new_var() {
     level_.push_back(0);
     activity_.push_back(0.0);
     heap_pos_.push_back(-1);
-    polarity_.push_back(opts_.default_phase ? 1 : 0);
+    polarity_.push_back(0);
     seen_.push_back(0);
     eliminated_.push_back(0);
     elim_pos_.push_back(-1);
@@ -32,19 +27,9 @@ Var Solver::new_var() {
     return v;
 }
 
-bool Solver::add_clause(Clause c) {
-    return add_simplified(std::move(c), /*learnt=*/false, /*lbd=*/0);
-}
+bool Solver::add_clause(Clause c) { return add_simplified(std::move(c)); }
 
-bool Solver::import_clause(Clause c, std::int32_t lbd) {
-    // Root-level only (import hooks fire with a clean root trail). The same
-    // simplification as add_clause applies — an imported clause is implied
-    // by the shared formula, so root propagation from it is sound.
-    return add_simplified(std::move(c), /*learnt=*/true, lbd > 0 ? lbd : 1);
-}
-
-bool Solver::add_simplified(Clause c, bool learnt, std::int32_t lbd,
-                            ClauseRef* out) {
+bool Solver::add_simplified(Clause c, ClauseRef* out) {
     if (out != nullptr) *out = kNoReason;
     if (!ok_) return false;
     // A clause mentioning an eliminated variable reopens its elimination:
@@ -88,11 +73,7 @@ bool Solver::add_simplified(Clause c, bool learnt, std::int32_t lbd,
         }
         return true;
     }
-    const ClauseRef cref = alloc_clause(std::move(simplified), learnt);
-    if (learnt) {
-        clauses_[cref].lbd = lbd > 0 ? lbd : 1;
-        learnts_.push_back(cref);
-    }
+    const ClauseRef cref = alloc_clause(std::move(simplified), /*learnt=*/false);
     attach(cref);
     if (out != nullptr) *out = cref;
     return true;
@@ -393,39 +374,26 @@ Var Solver::heap_pop() {
 
 Lit Solver::pick_branch_lit() {
     Var v = kNoVar;
-    // Occasional random decisions (portfolio diversification): pick a random
-    // heap entry, MiniSat-style — it stays in the heap and later pops skip
-    // it once assigned. The guard keeps the RNG untouched when the knob is
-    // off, so default-configured solvers stay bit-identical.
-    if (opts_.random_branch_freq > 0.0 && opts_.use_vsids && !heap_.empty() &&
-        rng_.bernoulli(opts_.random_branch_freq)) {
-        const Var cand = heap_[rng_.below(heap_.size())];
-        if (value(cand) == LBool::Undef &&
-            eliminated_[static_cast<std::size_t>(cand)] == 0)
-            v = cand;
-    }
-    if (v == kNoVar) {
-        if (opts_.use_vsids) {
-            while (!heap_.empty()) {
-                v = heap_pop();
-                if (value(v) == LBool::Undef &&
-                    eliminated_[static_cast<std::size_t>(v)] == 0)
-                    break;
-                v = kNoVar;
-            }
-        } else {
-            for (Var u = 0; u < num_vars(); ++u)
-                if (value(u) == LBool::Undef &&
-                    eliminated_[static_cast<std::size_t>(u)] == 0) {
-                    v = u;
-                    break;
-                }
+    if (opts_.use_vsids) {
+        while (!heap_.empty()) {
+            v = heap_pop();
+            if (value(v) == LBool::Undef &&
+                eliminated_[static_cast<std::size_t>(v)] == 0)
+                break;
+            v = kNoVar;
         }
+    } else {
+        for (Var u = 0; u < num_vars(); ++u)
+            if (value(u) == LBool::Undef &&
+                eliminated_[static_cast<std::size_t>(u)] == 0) {
+                v = u;
+                break;
+            }
     }
     if (v == kNoVar) return kUndefLit;
-    const bool phase = opts_.use_phase_saving
-                           ? polarity_[static_cast<std::size_t>(v)] != 0
-                           : opts_.default_phase;
+    // Without phase saving every decision takes the negative phase.
+    const bool phase = opts_.use_phase_saving &&
+                       polarity_[static_cast<std::size_t>(v)] != 0;
     return Lit(v, !phase);
 }
 
@@ -439,11 +407,11 @@ bool Solver::clause_locked(ClauseRef cref) const {
 }
 
 void Solver::reduce_learnt_db() {
-    // Keep glue clauses (LBD <= glue_keep_lbd) and the most active half of
+    // Keep glue clauses (LBD <= kGlueKeepLbd) and the most active half of
     // the rest.
     std::vector<ClauseRef> candidates;
     for (ClauseRef cr : learnts_)
-        if (!clauses_[cr].deleted && clauses_[cr].lbd > opts_.glue_keep_lbd &&
+        if (!clauses_[cr].deleted && clauses_[cr].lbd > kGlueKeepLbd &&
             !clause_locked(cr))
             candidates.push_back(cr);
     std::sort(candidates.begin(), candidates.end(),
@@ -698,7 +666,7 @@ void Solver::recover_xors() {
         Clause c;
         for (std::size_t i = 0; i < r.vars.size(); ++i)
             c.push_back(Lit(r.vars[i], (mask & (1u << i)) != 0));
-        add_simplified(std::move(c), /*learnt=*/false, /*lbd=*/0);
+        add_simplified(std::move(c));
     };
     std::vector<Row> pivots;
     std::map<Var, std::size_t> pivot_of;
@@ -820,8 +788,7 @@ void Solver::eliminate_variables() {
         ++stats_.eliminated_vars;
         for (Clause& r : resolvents) {
             ClauseRef added = kNoReason;
-            if (!add_simplified(std::move(r), /*learnt=*/false, /*lbd=*/0,
-                                &added))
+            if (!add_simplified(std::move(r), &added))
                 return;  // root conflict: ok_ is false
             if (added != kNoReason)
                 for (Lit l : clauses_[static_cast<std::size_t>(added)].lits)
@@ -855,8 +822,7 @@ void Solver::reintroduce(Var v) {
     std::sort(entries.begin(), entries.end());
     for (std::size_t pos : entries)
         for (Clause& c : elim_stack_[pos].clauses)
-            if (!add_simplified(std::move(c), /*learnt=*/false, /*lbd=*/0))
-                return;  // ok_ is false
+            if (!add_simplified(std::move(c))) return;  // ok_ is false
     // Dead tail entries can go; interior ones keep their stack positions.
     while (!elim_stack_.empty() && !elim_stack_.back().live)
         elim_stack_.pop_back();
@@ -942,30 +908,23 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
             reintroduce(a.var());
     }
     if (!ok_) return Result::Unsat;
-    if (import_hook_) {
-        import_hook_(*this);
-        if (!ok_) return Result::Unsat;
-    }
     if (inprocessing_enabled() && stats_.conflicts >= next_inprocess_) {
         inprocess();
         if (!ok_) return Result::Unsat;
         next_inprocess_ = stats_.conflicts + opts_.inprocess_interval;
     }
 
-    const std::uint64_t restart_base = opts_.restart_base;
     std::uint64_t restart_count = 0;
     // No-restart mode wants an unreachable threshold; compute the sentinel
     // directly instead of multiplying into a mod-2^64 wrap.
     std::uint64_t conflicts_until_restart =
-        opts_.use_restarts ? restart_base * restart_len(restart_count)
+        opts_.use_restarts ? kRestartBase * luby(restart_count)
                            : std::numeric_limits<std::uint64_t>::max();
     std::uint64_t conflicts_this_restart = 0;
     std::uint64_t next_reduce = opts_.reduce_interval;
     std::uint64_t last_budget_check = 0;
 
     while (true) {
-        if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed))
-            return Result::Unknown;
         const ClauseRef conflict = propagate();
         if (conflict != kNoReason) {
             ++stats_.conflicts;
@@ -998,7 +957,6 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                 const bool into_assumptions = bt_level < assume_level;
                 backtrack_to(bt_level);
                 if (learnt.size() == 1) {
-                    if (export_hook_) export_hook_(learnt, 0);
                     if (value(learnt[0]) == LBool::False) {
                         // Learnt clauses are formula-implied (resolution over
                         // formula clauses only), so a learnt unit false at
@@ -1013,8 +971,6 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                 } else {
                     const ClauseRef cref = alloc_clause(std::move(learnt), true);
                     clauses_[cref].lbd = compute_lbd(clauses_[cref].lits);
-                    if (export_hook_ && clauses_[cref].lbd <= opts_.share_lbd_max)
-                        export_hook_(clauses_[cref].lits, clauses_[cref].lbd);
                     attach(cref);
                     learnts_.push_back(cref);
                     ++stats_.learnt_clauses;
@@ -1049,13 +1005,8 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                 ++stats_.restarts;
                 ++restart_count;
                 conflicts_this_restart = 0;
-                conflicts_until_restart =
-                    restart_base * restart_len(restart_count);
+                conflicts_until_restart = kRestartBase * luby(restart_count);
                 backtrack_to(0);
-                if (import_hook_) {
-                    import_hook_(*this);
-                    if (!ok_) return Result::Unsat;
-                }
                 if (inprocessing_enabled() &&
                     stats_.conflicts >= next_inprocess_) {
                     inprocess();
@@ -1064,14 +1015,9 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                 }
             }
             if (opts_.use_learning && stats_.learnt_clauses >= next_reduce) {
-                // Integer-exact generalization of the historical
-                // `next_reduce += next_reduce / 2`: for the default growth
-                // 1.5 the product n * 0.5 is exact in double and truncates
-                // to n / 2 bit for bit.
-                next_reduce += std::max<std::uint64_t>(
-                    1, static_cast<std::uint64_t>(
-                           static_cast<double>(next_reduce) *
-                           (opts_.reduce_growth - 1.0)));
+                // Geometric growth by 1.5; the floor of 1 keeps a tiny
+                // reduce_interval from stalling the schedule.
+                next_reduce += std::max<std::uint64_t>(1, next_reduce / 2);
                 reduce_learnt_db();
                 maybe_gc();  // safe: no local ClauseRef survives to here
             }

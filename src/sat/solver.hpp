@@ -21,19 +21,14 @@
 //    scheduled at root-level points by conflict count and gated per pass by
 //    SolverOptions, on top of a compacting clause arena (garbage_collect).
 //
-// Solver implements the abstract sat::SolverBackend interface and is
-// registered as backend "internal" (sat/backend.hpp). The nested
-// Options/Budget/Stats/Result names are aliases for the extracted
-// backend-layer types, so historical sat::Solver::Options spellings keep
-// compiling.
+// Solver is the only implementation of the abstract sat::SolverBackend
+// interface (sat/backend.hpp). The nested Options/Budget/Stats/Result
+// names are aliases for the backend-layer types.
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "sat/backend.hpp"
 #include "sat/types.hpp"
@@ -48,7 +43,7 @@ public:
     using Stats = SolverStats;
 
     Solver() : Solver(Options{}) {}
-    explicit Solver(Options opts) : opts_(opts), rng_(opts.seed) {}
+    explicit Solver(Options opts) : opts_(opts) {}
 
     // ---- problem construction ----------------------------------------------
     Var new_var() override;
@@ -75,35 +70,6 @@ public:
     void set_budget(const Budget& b) override { budget_ = b; }
     using SolverBackend::set_budget;
     const Stats& stats() const override { return stats_; }
-    const Options& options() const override { return opts_; }
-    const std::string& backend_name() const override;
-
-    // ---- portfolio cooperation hooks ---------------------------------------
-    // Used by the "portfolio" backend (sat/portfolio_backend.hpp); all three
-    // default to off and cost nothing when unset.
-
-    /// Cooperative cancellation: when the flag reads true, search() returns
-    /// Result::Unknown at the next propagate batch. The pointed-to flag must
-    /// outlive every solve; pass nullptr to detach.
-    void set_cancel_flag(const std::atomic<bool>* flag) { cancel_ = flag; }
-
-    /// Called (from the solving thread) for every learnt clause whose LBD is
-    /// <= options().share_lbd_max, including learnt units (LBD 0).
-    using ExportHook = std::function<void(const Clause&, std::int32_t lbd)>;
-    void set_export_hook(ExportHook hook) { export_hook_ = std::move(hook); }
-
-    /// Called (from the solving thread) whenever the solver is at the root
-    /// level with a clean trail — at search entry and after each restart —
-    /// so the callback can feed externally learned clauses in via
-    /// import_clause().
-    using ImportHook = std::function<void(Solver&)>;
-    void set_import_hook(ImportHook hook) { import_hook_ = std::move(hook); }
-
-    /// Adds an externally learned clause (valid only at the root level, i.e.
-    /// from an import hook or between solves). The clause joins the learnt
-    /// DB with the given LBD and competes in reduce_learnt_db like any local
-    /// learnt. Returns false once the formula is root-level unsatisfiable.
-    bool import_clause(Clause c, std::int32_t lbd);
 
 private:
     struct ClauseData {
@@ -140,19 +106,18 @@ private:
     bool literal_redundant(Lit l, std::uint32_t abstract_levels);
     std::int32_t compute_lbd(const Clause& c);
 
-    // Shared root-level simplification behind add_clause / import_clause /
-    // the inprocessing passes. Sorts, drops false/duplicate literals,
+    // Shared root-level simplification behind add_clause and the
+    // inprocessing passes. Sorts, drops false/duplicate literals,
     // detects tautologies, handles the unit/empty cases, and reintroduces
     // eliminated variables the clause mentions. `out` (optional) receives
     // the allocated ClauseRef, or kNoReason when no clause was stored.
-    bool add_simplified(Clause c, bool learnt, std::int32_t lbd,
-                        ClauseRef* out = nullptr);
+    bool add_simplified(Clause c, ClauseRef* out = nullptr);
 
     // Decision heuristic.
     void bump_var(Var v);
-    void decay_var_activity() { var_inc_ /= opts_.var_decay; }
+    void decay_var_activity() { var_inc_ /= kVarDecay; }
     void bump_clause(ClauseData& c);
-    void decay_clause_activity() { cla_inc_ /= opts_.clause_decay; }
+    void decay_clause_activity() { cla_inc_ /= kClauseDecay; }
     Lit pick_branch_lit();
     void heap_insert(Var v);
     Var heap_pop();
@@ -194,24 +159,20 @@ private:
     }
 
     bool budget_exhausted() const;
+    /// Luby restart-interval multiplier for the n-th restart (integer
+    /// arithmetic, so the restart schedule is platform-identical).
     static std::uint64_t luby(std::uint64_t i);
-    /// Restart-interval multiplier for the n-th restart: the Luby sequence
-    /// (default) or capped power-of-two geometric growth — both integer
-    /// arithmetic, so every restart schedule is platform-identical.
-    std::uint64_t restart_len(std::uint64_t n) const {
-        return opts_.restart_luby ? luby(n)
-                                  : 1ULL << (n < 40 ? n : std::uint64_t{40});
-    }
+
+    // Heuristic constants.
+    static constexpr double kVarDecay = 0.95;
+    static constexpr double kClauseDecay = 0.999;
+    static constexpr std::uint64_t kRestartBase = 128;  ///< conflicts per Luby unit
+    static constexpr std::int32_t kGlueKeepLbd = 2;     ///< reduce never drops LBD <= this
 
     Options opts_;
-    Rng rng_;  ///< random-branching stream; untouched when the knob is off
     Budget budget_;
     Stats stats_;
     Timer solve_timer_;
-
-    const std::atomic<bool>* cancel_ = nullptr;
-    ExportHook export_hook_;
-    ImportHook import_hook_;
 
     std::vector<ClauseData> clauses_;
     std::vector<ClauseRef> learnts_;

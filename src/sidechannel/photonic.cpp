@@ -88,7 +88,7 @@ std::vector<double> toggle_activity(const Netlist& locked,
         // previous word's last pattern.
         for (GateId id = 0; id < locked.size(); ++id) {
             const std::uint64_t v = value[id];
-            toggles[id] += __builtin_popcountll(v ^ (v << 1) & ~std::uint64_t{1});
+            toggles[id] += __builtin_popcountll((v ^ (v << 1)) & ~std::uint64_t{1});
             if (have_prev) toggles[id] += ((v ^ prev_bit[id]) & 1) != 0 ? 1.0 : 0.0;
             prev_bit[id] = v >> 63;
         }

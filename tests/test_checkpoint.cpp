@@ -98,7 +98,6 @@ JobResult sample_result() {
     r.circuit = "alpha";
     r.defense = "camo:gshe16@10%";
     r.attack = "sat";
-    r.solver_backend = "dimacs";
     r.spec_seed = 2;
     r.derived_seed = 0xfedcba9876543210ULL;  // does not fit a double
     r.protected_cells = 6;
@@ -119,6 +118,11 @@ JobResult sample_result() {
     r.result.solver_stats.restarts = 4;
     r.result.solver_stats.learnt_clauses = 88;
     r.result.solver_stats.removed_clauses = 11;
+    r.result.solver_stats.inprocessings = 7;
+    r.result.solver_stats.gc_runs = 2;
+    r.result.solver_stats.vivified_lits = 31;
+    r.result.solver_stats.xors_recovered = 5;
+    r.result.solver_stats.eliminated_vars = 13;
     r.oracle_stats.calls = 21;
     r.oracle_stats.single_calls = 4;
     r.oracle_stats.patterns = 1092;
@@ -148,13 +152,15 @@ JobSpec sample_spec() {
     spec.attack_options.verify_patterns = 123;
     spec.attack_options.verify_seed = 77;
     spec.attack_options.appsat_error_threshold = 0.01;
-    spec.attack_options.solver_backend = "dimacs";
     spec.attack_options.solver.use_vsids = false;
     spec.attack_options.solver.use_restarts = false;
     spec.attack_options.solver.use_learning = true;
     spec.attack_options.solver.use_phase_saving = false;
-    spec.attack_options.solver.var_decay = 0.875;
-    spec.attack_options.solver.clause_decay = 0.5;
+    spec.attack_options.solver.reduce_interval = 2048;
+    spec.attack_options.solver.use_vivification = true;
+    spec.attack_options.solver.use_xor_recovery = true;
+    spec.attack_options.solver.use_bve = true;
+    spec.attack_options.solver.inprocess_interval = 1024;
     return spec;
 }
 
@@ -179,17 +185,17 @@ void expect_specs_equal(const JobSpec& a, const JobSpec& b) {
     EXPECT_EQ(a.attack_options.verify_seed, b.attack_options.verify_seed);
     EXPECT_EQ(a.attack_options.appsat_error_threshold,
               b.attack_options.appsat_error_threshold);
-    EXPECT_EQ(a.attack_options.solver_backend, b.attack_options.solver_backend);
-    EXPECT_EQ(a.attack_options.solver.use_vsids, b.attack_options.solver.use_vsids);
-    EXPECT_EQ(a.attack_options.solver.use_restarts,
-              b.attack_options.solver.use_restarts);
-    EXPECT_EQ(a.attack_options.solver.use_learning,
-              b.attack_options.solver.use_learning);
-    EXPECT_EQ(a.attack_options.solver.use_phase_saving,
-              b.attack_options.solver.use_phase_saving);
-    EXPECT_EQ(a.attack_options.solver.var_decay, b.attack_options.solver.var_decay);
-    EXPECT_EQ(a.attack_options.solver.clause_decay,
-              b.attack_options.solver.clause_decay);
+    const sat::SolverOptions& sa = a.attack_options.solver;
+    const sat::SolverOptions& sb = b.attack_options.solver;
+    EXPECT_EQ(sa.use_vsids, sb.use_vsids);
+    EXPECT_EQ(sa.use_restarts, sb.use_restarts);
+    EXPECT_EQ(sa.use_learning, sb.use_learning);
+    EXPECT_EQ(sa.use_phase_saving, sb.use_phase_saving);
+    EXPECT_EQ(sa.reduce_interval, sb.reduce_interval);
+    EXPECT_EQ(sa.use_vivification, sb.use_vivification);
+    EXPECT_EQ(sa.use_xor_recovery, sb.use_xor_recovery);
+    EXPECT_EQ(sa.use_bve, sb.use_bve);
+    EXPECT_EQ(sa.inprocess_interval, sb.inprocess_interval);
 }
 
 void expect_results_equal(const JobResult& a, const JobResult& b) {
@@ -197,7 +203,6 @@ void expect_results_equal(const JobResult& a, const JobResult& b) {
     EXPECT_EQ(a.circuit, b.circuit);
     EXPECT_EQ(a.defense, b.defense);
     EXPECT_EQ(a.attack, b.attack);
-    EXPECT_EQ(a.solver_backend, b.solver_backend);
     EXPECT_EQ(a.spec_seed, b.spec_seed);
     EXPECT_EQ(a.derived_seed, b.derived_seed);
     EXPECT_EQ(a.protected_cells, b.protected_cells);
@@ -221,6 +226,15 @@ void expect_results_equal(const JobResult& a, const JobResult& b) {
               b.result.solver_stats.learnt_clauses);
     EXPECT_EQ(a.result.solver_stats.removed_clauses,
               b.result.solver_stats.removed_clauses);
+    EXPECT_EQ(a.result.solver_stats.inprocessings,
+              b.result.solver_stats.inprocessings);
+    EXPECT_EQ(a.result.solver_stats.gc_runs, b.result.solver_stats.gc_runs);
+    EXPECT_EQ(a.result.solver_stats.vivified_lits,
+              b.result.solver_stats.vivified_lits);
+    EXPECT_EQ(a.result.solver_stats.xors_recovered,
+              b.result.solver_stats.xors_recovered);
+    EXPECT_EQ(a.result.solver_stats.eliminated_vars,
+              b.result.solver_stats.eliminated_vars);
     EXPECT_EQ(a.oracle_stats.calls, b.oracle_stats.calls);
     EXPECT_EQ(a.oracle_stats.single_calls, b.oracle_stats.single_calls);
     EXPECT_EQ(a.oracle_stats.patterns, b.oracle_stats.patterns);

@@ -159,60 +159,6 @@ TEST(AttackRegistry, RoundTripMatchesDirectCalls) {
     });
 }
 
-// ---- solver-backend selection ----------------------------------------------
-
-TEST(SolverBackendSelection, UnknownBackendErrorListsRegisteredBackends) {
-    // The registry smoke test of the acceptance criteria: a typo'd
-    // --solver value must fail with every registered backend named.
-    const Netlist base = tiny_circuit("alpha");
-    const auto sel = camo::select_gates(base, 0.10, 3);
-    const auto prot = camo::apply_camouflage(base, sel, camo::gshe16(), 3);
-    attack::ExactOracle oracle(prot.netlist);
-    AttackOptions opt;
-    opt.solver_backend = "zchaff";
-    try {
-        attack::attack_by_name("sat").run(prot.netlist, oracle, opt);
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("zchaff"), std::string::npos);
-        EXPECT_NE(what.find("internal"), std::string::npos);
-        EXPECT_NE(what.find("dimacs"), std::string::npos);
-    }
-}
-
-TEST(SolverBackendSelection, UnknownBackendIsACapturedJobError) {
-    JobSpec bad;
-    bad.circuit = "alpha";
-    bad.defense.fraction = 0.05;
-    bad.attack = "sat";
-    bad.attack_options.solver_backend = "no_such_backend";
-    CampaignOptions options;
-    options.threads = 1;
-    options.netlist_provider = tiny_circuit;
-    const CampaignResult res = CampaignRunner(options).run({bad});
-    ASSERT_EQ(res.jobs.size(), 1u);
-    EXPECT_NE(res.jobs[0].error.find("no_such_backend"), std::string::npos);
-    EXPECT_NE(res.jobs[0].error.find("internal"), std::string::npos);
-}
-
-TEST(SolverBackendSelection, BackendNameRidesIntoTheCsvReport) {
-    const auto jobs = CampaignRunner::cross_product(
-        {"alpha"}, {DefenseConfig{}}, {"sat"}, {1}, AttackOptions{});
-    CampaignOptions options;
-    options.threads = 1;
-    options.netlist_provider = tiny_circuit;
-    const CampaignResult res = CampaignRunner(options).run(jobs);
-    ASSERT_EQ(res.jobs.size(), 1u);
-    EXPECT_EQ(res.jobs[0].solver_backend, "internal");
-    const std::string csv = campaign_csv(res);
-    EXPECT_NE(csv.find(",solver,"), std::string::npos);
-    EXPECT_NE(csv.find(",restarts,"), std::string::npos);
-    EXPECT_NE(csv.find(",internal,"), std::string::npos);
-    const std::string json = campaign_json(res);
-    EXPECT_NE(json.find("\"solver_backend\":\"internal\""), std::string::npos);
-}
-
 // ---- CampaignRunner ---------------------------------------------------------
 
 std::vector<JobSpec> test_matrix() {

@@ -48,7 +48,9 @@ TEST(Netlist, TopologicalOrderRespectsEdges) {
         const Gate& g = nl.gate(id);
         if (g.type != CellType::Logic) continue;
         EXPECT_LT(pos[g.a], pos[id]);
-        if (g.b != kNoGate) EXPECT_LT(pos[g.b], pos[id]);
+        if (g.b != kNoGate) {
+            EXPECT_LT(pos[g.b], pos[id]);
+        }
     }
 }
 

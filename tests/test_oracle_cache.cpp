@@ -307,8 +307,11 @@ TEST(CampaignCache, CacheOnActuallySharesEvaluations) {
     }
     EXPECT_GT(hits, 0u);
     EXPECT_LT(evaluated, logical);
-    for (const auto& j : on.jobs)
-        if (j.oracle_group_size > 1) EXPECT_TRUE(j.oracle_cache_enabled);
+    for (const auto& j : on.jobs) {
+        if (j.oracle_group_size > 1) {
+            EXPECT_TRUE(j.oracle_cache_enabled);
+        }
+    }
 }
 
 TEST(CampaignCache, ShardedCacheOnMergesToTheUnshardedCacheOffCsv) {

@@ -1,11 +1,9 @@
-// Tests for the CDCL SAT solver, the Tseitin encoder, DIMACS I/O, and the
-// pluggable backend layer (registry + DIMACS subprocess adapter):
-// unit-level behaviours, brute-force cross-checks on random formulas,
-// structured UNSAT instances, budgets, and encoder/simulator consistency.
+// Tests for the CDCL SAT solver, the Tseitin encoder, DIMACS I/O, and
+// make_backend: unit-level behaviours, brute-force cross-checks on random
+// formulas, structured UNSAT instances, budgets, and encoder/simulator
+// consistency.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -13,7 +11,6 @@
 #include "netlist/simulator.hpp"
 #include "sat/backend.hpp"
 #include "sat/dimacs.hpp"
-#include "sat/dimacs_backend.hpp"
 #include "sat/solver.hpp"
 #include "sat/tseitin.hpp"
 
@@ -503,222 +500,17 @@ TEST(Dimacs, RejectsWrongArityHeader) {
     EXPECT_THROW(read_dimacs_string("p sat 2 1\n1 0\n"), std::runtime_error);
 }
 
-// ---- solver output parsing -------------------------------------------------
+// ---- make_backend -----------------------------------------------------------
 
-TEST(SolverOutput, ParsesModelSplitAcrossVRecords) {
-    const SolverOutput out = parse_solver_output_string(
-        "c some banner\n"
-        "s SATISFIABLE\n"
-        "v 1 -2\n"
-        "v 3\n"
-        "v -4 0\n");
-    EXPECT_EQ(out.status, SolveResult::Sat);
-    EXPECT_TRUE(out.model_complete);
-    ASSERT_EQ(out.model.size(), 4u);
-    EXPECT_EQ(out.model[0], LBool::True);
-    EXPECT_EQ(out.model[1], LBool::False);
-    EXPECT_EQ(out.model[2], LBool::True);
-    EXPECT_EQ(out.model[3], LBool::False);
-}
-
-TEST(SolverOutput, ParsesUnsatAndMissingStatus) {
-    EXPECT_EQ(parse_solver_output_string("s UNSATISFIABLE\n").status,
-              SolveResult::Unsat);
-    // A killed solver (wall-clock timeout) emits no status line at all.
-    EXPECT_EQ(parse_solver_output_string("c half-finished banner\n").status,
-              SolveResult::Unknown);
-    EXPECT_EQ(parse_solver_output_string("s INDETERMINATE\n").status,
-              SolveResult::Unknown);
-}
-
-TEST(SolverOutput, AcceptsBareMiniSatStatusLines) {
-    const SolverOutput sat = parse_solver_output_string("SATISFIABLE\n");
-    EXPECT_EQ(sat.status, SolveResult::Sat);
-    EXPECT_EQ(parse_solver_output_string("UNSATISFIABLE\n").status,
-              SolveResult::Unsat);
-}
-
-TEST(SolverOutput, MissingModelTerminatorIsFlagged) {
-    const SolverOutput out = parse_solver_output_string(
-        "s SATISFIABLE\nv 1 -2\n");  // truncated mid-model
-    EXPECT_EQ(out.status, SolveResult::Sat);
-    EXPECT_FALSE(out.model_complete);
-}
-
-TEST(SolverOutput, ScrapesWorkCountersFromCommentLines) {
-    const SolverOutput out = parse_solver_output_string(
-        "c restarts              : 3 (512 conflicts in avg)\n"
-        "c conflicts             : 1234   (56 /sec)\n"
-        "c decisions             : 5678   (1.2 % random)\n"
-        "propagations            : 91011  (no c prefix: MiniSat style)\n"
-        "s UNSATISFIABLE\n");
-    EXPECT_EQ(out.status, SolveResult::Unsat);
-    EXPECT_EQ(out.stats.restarts, 3u);
-    EXPECT_EQ(out.stats.conflicts, 1234u);
-    EXPECT_EQ(out.stats.decisions, 5678u);
-    EXPECT_EQ(out.stats.propagations, 91011u);
-}
-
-// ---- backend registry ------------------------------------------------------
-
-TEST(BackendRegistry, RegistersInternalPortfolioAndDimacs) {
-    const auto names = backend_names();
-    ASSERT_EQ(names.size(), 3u);
-    EXPECT_EQ(names[0], "internal");
-    EXPECT_EQ(names[1], "portfolio");
-    EXPECT_EQ(names[2], "dimacs");
-    EXPECT_NE(find_backend("internal"), nullptr);
-    EXPECT_TRUE(backend_by_name("internal").available());
-    EXPECT_FALSE(backend_by_name("internal").label().empty());
-    EXPECT_TRUE(backend_by_name("portfolio").available());
-}
-
-TEST(BackendRegistry, UnknownNameFailsListingRegisteredBackends) {
-    EXPECT_EQ(find_backend("zchaff"), nullptr);
-    try {
-        backend_by_name("zchaff");
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("zchaff"), std::string::npos);
-        EXPECT_NE(what.find("internal"), std::string::npos);
-        EXPECT_NE(what.find("dimacs"), std::string::npos);
-    }
-    EXPECT_THROW(make_backend("zchaff"), std::invalid_argument);
-}
-
-TEST(BackendRegistry, InternalBackendSolvesThroughTheInterface) {
+TEST(MakeBackend, InternalSolvesAndOtherNamesThrow) {
     const auto backend = make_backend("internal");
     ASSERT_NE(backend, nullptr);
-    EXPECT_EQ(backend->backend_name(), "internal");
     const Var a = backend->new_var(), b = backend->new_var();
     backend->add_clause(Lit(a, false), Lit(b, false));
     backend->add_clause(Lit(a, true));
     ASSERT_EQ(backend->solve(), SolveResult::Sat);
     EXPECT_TRUE(backend->model_bool(b));
-    // The Tseitin helpers accept any backend.
-    const Var y = add_xor(*backend, a, b);
-    ASSERT_EQ(backend->solve(), SolveResult::Sat);
-    EXPECT_EQ(backend->model_bool(y),
-              backend->model_bool(a) != backend->model_bool(b));
-}
-
-// ---- DIMACS subprocess backend ---------------------------------------------
-
-/// A fake solver binary: a shell script printing a canned answer, so the
-/// subprocess plumbing (export, launch, parse) is tested hermetically
-/// without any real external solver installed.
-struct FakeSolver {
-    std::string path;
-    explicit FakeSolver(const std::string& name, const std::string& body) {
-        path = std::string("/tmp/gshe_fake_") + name + ".sh";
-        std::ofstream f(path);
-        f << "#!/bin/sh\n" << body;
-        f.close();
-        std::string cmd = "chmod +x " + path;
-        EXPECT_EQ(std::system(cmd.c_str()), 0);
-    }
-    ~FakeSolver() { std::remove(path.c_str()); }
-};
-
-TEST(DimacsBackend, ParsesFakeSolverModel) {
-    const FakeSolver fake("sat",
-                          "echo 'c fake solver'\n"
-                          "echo 's SATISFIABLE'\n"
-                          "echo 'v 1 -2'\n"
-                          "echo 'v 0'\n");
-    DimacsBackend backend(fake.path);
-    EXPECT_EQ(backend.backend_name(), "dimacs");
-    const Var a = backend.new_var(), b = backend.new_var();
-    backend.add_clause(Lit(a, false), Lit(b, true));
-    ASSERT_EQ(backend.solve(), SolveResult::Sat);
-    EXPECT_TRUE(backend.model_bool(a));
-    EXPECT_FALSE(backend.model_bool(b));
-    EXPECT_EQ(backend.subprocess_stats().solves, 1u);
-    EXPECT_GT(backend.subprocess_stats().encoded_bytes, 0u);
-}
-
-TEST(DimacsBackend, ReencodesPerSolveAndRecordsTheCost) {
-    const FakeSolver fake("unsat", "echo 's UNSATISFIABLE'\n");
-    DimacsBackend backend(fake.path);
-    const Var a = backend.new_var();
-    backend.add_clause(Lit(a, false));
-    backend.add_clause(Lit(a, true));
-    EXPECT_EQ(backend.solve(), SolveResult::Unsat);
-    EXPECT_EQ(backend.solve({Lit(a, false)}), SolveResult::Unsat);
-    // Non-incremental: both solves re-exported the full CNF, the second
-    // plus its assumption unit.
-    EXPECT_EQ(backend.subprocess_stats().solves, 2u);
-    EXPECT_EQ(backend.subprocess_stats().encoded_clauses, 2u + 3u);
-}
-
-TEST(DimacsBackend, SolverWithoutStatusLineIsUnknown) {
-    const FakeSolver fake("crash", "echo 'c died early'\nexit 1\n");
-    DimacsBackend backend(fake.path);
-    backend.new_var();
-    EXPECT_EQ(backend.solve(), SolveResult::Unknown);
-}
-
-TEST(DimacsBackend, SatWithTruncatedModelIsUnknown) {
-    // A solver killed mid-model (or one that never prints "v" records)
-    // must not read as an all-false assignment.
-    const FakeSolver fake("truncated",
-                          "echo 's SATISFIABLE'\n"
-                          "echo 'v 1 -2'\n");  // missing terminating 0
-    DimacsBackend backend(fake.path);
-    backend.new_var();
-    backend.new_var();
-    EXPECT_EQ(backend.solve(), SolveResult::Unknown);
-}
-
-TEST(DimacsBackend, MissingBinaryThrowsInsteadOfTimingOut) {
-    // A misconfigured command (shell exit 127) must fail loudly rather
-    // than turn a whole campaign into fake "t-o" cells.
-    DimacsBackend backend("/no/such/solver_binary_xyz");
-    backend.new_var();
-    EXPECT_THROW(backend.solve(), std::runtime_error);
-}
-
-TEST(DimacsBackend, ReceivesTheExportedFormula) {
-    // The fake copies its input to a scratch location; verify the export
-    // is well-formed DIMACS containing our clause and the assumption unit.
-    const std::string copy = "/tmp/gshe_fake_seen.cnf";
-    const FakeSolver fake("copy", "cp \"$1\" " + copy +
-                                      "\necho 's UNSATISFIABLE'\n");
-    DimacsBackend backend(fake.path);
-    const Var a = backend.new_var(), b = backend.new_var();
-    backend.add_clause(Lit(a, false), Lit(b, false));
-    EXPECT_EQ(backend.solve({Lit(b, true)}), SolveResult::Unsat);
-    std::ifstream f(copy);
-    ASSERT_TRUE(f.good());
-    std::stringstream text;
-    text << f.rdbuf();
-    const CnfFormula parsed = read_dimacs_string(text.str());
-    EXPECT_EQ(parsed.num_vars, 2);
-    ASSERT_EQ(parsed.clauses.size(), 2u);
-    EXPECT_EQ(parsed.clauses[0], (Clause{Lit(a, false), Lit(b, false)}));
-    EXPECT_EQ(parsed.clauses[1], (Clause{Lit(b, true)}));
-    std::remove(copy.c_str());
-}
-
-/// Real-binary smoke test: runs only when GSHE_DIMACS_SOLVER names a
-/// MiniSat/CryptoMiniSat-compatible solver; skipped otherwise (CI without
-/// an external solver stays green).
-TEST(DimacsBackend, RealSolverRoundTripIfConfigured) {
-    if (!backend_by_name("dimacs").available())
-        GTEST_SKIP() << kDimacsSolverEnv << " not set";
-    const auto backend = make_backend("dimacs");
-    const Var a = backend->new_var(), b = backend->new_var();
-    backend->add_clause(Lit(a, false), Lit(b, false));
-    backend->add_clause(Lit(a, true), Lit(b, false));
-    ASSERT_EQ(backend->solve(), SolveResult::Sat);
-    EXPECT_TRUE(backend->model_bool(b));  // b is forced true
-    // And an UNSAT instance on a fresh backend.
-    const auto backend2 = make_backend("dimacs");
-    const Var x = backend2->new_var();
-    backend2->add_clause(Lit(x, false));
-    backend2->add_clause(Lit(x, true));
-    EXPECT_EQ(backend2->solve(), SolveResult::Unsat);
+    EXPECT_THROW(make_backend("dimacs"), std::invalid_argument);
 }
 
 }  // namespace

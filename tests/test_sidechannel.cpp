@@ -100,6 +100,25 @@ TEST(Photonic, ToggleActivityCountsTransitions) {
     EXPECT_LT(act[g], 192.0);
 }
 
+TEST(Photonic, LinesHeldAtOneNeverToggle) {
+    // A key line pinned to 1 and a Const1 net hold their value on every
+    // cycle, so neither may count a toggle (bit 0 of each word is only the
+    // seam to the previous word, never an in-word transition).
+    Netlist nl("t");
+    const auto a = nl.add_input("a");
+    const auto k = nl.add_input("k");
+    const auto one = nl.add_const(true);
+    const auto g = nl.add_gate(Bool2::AND(), a, k);
+    nl.add_output(g, "y");
+    nl.add_output(one, "one");
+    camo::Key key;
+    key.bits = {true};
+    const auto act = toggle_activity(nl, {k}, key, 256, 1);
+    EXPECT_EQ(act[k], 0.0);
+    EXPECT_EQ(act[one], 0.0);
+    EXPECT_GT(act[g], 0.0);  // AND(a, 1) follows the random input
+}
+
 TEST(Photonic, CmosKeyLogicLeaks) {
     const Netlist nl = small_circuit(7);
     const camo::LockedCircuit lc = camo::lock_epic_xor(nl, 12, 3);

@@ -31,6 +31,11 @@
 //   run_campaign                                # default matrix, CSV to stdout
 //   run_campaign --threads=0 --json=full.json   # all cores, full JSON record
 //   run_campaign --circuits=ex1010 --defenses=stochastic --accuracy=0.9
+//
+// Every attack runs on the in-tree CDCL solver. Matrix values every job
+// would fail on (unknown circuit, defense or attack names; sequential
+// corpus circuits) are usage errors, reported before planning.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,7 +47,6 @@
 #include "attack/attack.hpp"
 #include "common/parse.hpp"
 #include "common/report.hpp"
-#include "sat/backend.hpp"
 #include "sat/encoder.hpp"
 #include "engine/campaign.hpp"
 #include "engine/checkpoint.hpp"
@@ -75,10 +79,7 @@ struct Cli {
     std::vector<std::string> circuits = {"ex1010", "c7552"};
     std::vector<std::string> defenses = {"camo", "sarlock", "stochastic"};
     std::vector<std::string> attacks = {"sat", "double_dip"};
-    std::string solver = "internal";
     std::string encoder = "legacy";
-    int portfolio_width = 4;
-    bool portfolio_race = false;
     std::vector<std::string> inprocess;  // of: viv, xor, bve
     std::uint64_t inprocess_interval = 8192;
     int n_seeds = 2;
@@ -109,22 +110,12 @@ void usage() {
         "  --defenses=k,...   defense kinds (default camo,sarlock,stochastic;\n"
         "                     also: delay_aware, dynamic)\n"
         "  --attacks=a,...    attacks (default sat,double_dip; also: appsat)\n"
-        "  --solver=NAME      SAT backend for every attack (default internal;\n"
-        "                     'portfolio' races K diversified internal CDCL\n"
-        "                     workers per solve; 'dimacs' shells out to the\n"
-        "                     binary named by GSHE_DIMACS_SOLVER)\n"
         "  --encoder=NAME     CNF encoder for every attack (default legacy;\n"
         "                     'compact' folds constants, hashes shared\n"
         "                     structure and cone-reduces DIP agreements —\n"
         "                     deterministic, but a different trajectory than\n"
         "                     legacy, so compare CSVs within one mode)\n"
-        "  --portfolio-width=K  portfolio worker count (default 4; width 1\n"
-        "                     behaves bit-for-bit like --solver=internal)\n"
-        "  --portfolio-race   wall-clock race tier: first decisive worker\n"
-        "                     cancels the rest and workers exchange learned\n"
-        "                     clauses (declared non-deterministic; the\n"
-        "                     budgeted default keeps CSVs byte-identical)\n"
-        "  --inprocess=p,...  internal-solver inprocessing passes: viv\n"
+        "  --inprocess=p,...  solver inprocessing passes: viv\n"
         "                     (clause vivification), xor (XOR recovery +\n"
         "                     GF(2) elimination), bve (bounded variable\n"
         "                     elimination). Default: none. Any fixed set\n"
@@ -151,7 +142,7 @@ void usage() {
         "                     more than one job). The deterministic CSV is\n"
         "                     byte-identical for every mode; only evaluation\n"
         "                     cost differs\n"
-        "  --shard=i/N        execute only plan indices j with j %% N == i\n"
+        "  --shard=i/N        execute only plan indices j with j % N == i\n"
         "                     (one process of an N-way sharded campaign;\n"
         "                     combine the shard journals with merge_campaign)\n"
         "  --dry-run          print the planned job table (index, circuit,\n"
@@ -169,7 +160,9 @@ void usage() {
         "  --timing           add wall-clock columns to the CSV (breaks the\n"
         "                     byte-identical guarantee)\n"
         "  --quiet            suppress per-job progress on stderr\n"
-        "  --list             list circuits/defenses/attacks and exit");
+        "  --list             list circuits/defenses/attacks/encoders and exit\n"
+        "Unknown circuit, defense or attack names, and sequential circuits\n"
+        "(s38584), are usage errors: exit 2 before planning, --dry-run too.");
 }
 
 void list_choices() {
@@ -183,12 +176,6 @@ void list_choices() {
     for (const auto& name : attack::attack_names()) {
         const attack::Attack& a = attack::attack_by_name(name);
         std::printf("  %-11s %s\n", name.c_str(), a.label().c_str());
-    }
-    std::printf("solver backends:\n");
-    for (const auto& name : sat::backend_names()) {
-        const sat::BackendFactory& b = sat::backend_by_name(name);
-        std::printf("  %-11s %s%s\n", name.c_str(), b.label().c_str(),
-                    b.available() ? "" : " [unavailable]");
     }
     std::printf("encoders:\n");
     for (const auto& name : sat::encoder_mode_names())
@@ -280,15 +267,12 @@ bool parse(Cli& cli, int argc, char** argv, bool& exit_ok) {
         if (arg == "--quiet") { cli.quiet = true; continue; }
         if (arg == "--resume") { cli.resume = true; continue; }
         if (arg == "--dry-run") { cli.dry_run = true; continue; }
-        if (arg == "--portfolio-race") { cli.portfolio_race = true; continue; }
         if (arg.find('=') == std::string::npos) return false;
         if (starts("--threads=")) cli.threads = int_flag("--threads", val(), 0, 4096);
         else if (starts("--circuits=")) cli.circuits = split(val(), ',');
         else if (starts("--defenses=")) cli.defenses = split(val(), ',');
         else if (starts("--attacks=")) cli.attacks = split(val(), ',');
-        else if (starts("--solver=")) cli.solver = val();
         else if (starts("--encoder=")) cli.encoder = val();
-        else if (starts("--portfolio-width=")) cli.portfolio_width = int_flag("--portfolio-width", val(), 1, 64);
         else if (starts("--inprocess=")) cli.inprocess = split(val(), ',');
         else if (starts("--inprocess-interval=")) cli.inprocess_interval = u64_flag("--inprocess-interval", val());
         else if (starts("--seeds=")) cli.n_seeds = int_flag("--seeds", val(), 1, 1 << 20);
@@ -308,6 +292,39 @@ bool parse(Cli& cli, int argc, char** argv, bool& exit_ok) {
         else return false;
     }
     return true;
+}
+
+std::string joined(const std::vector<std::string>& names) {
+    std::string out;
+    for (const auto& name : names) out += (out.empty() ? "" : ", ") + name;
+    return out;
+}
+
+/// The first matrix value every job using it would fail on, as a message
+/// naming the value and the reason; empty when the matrix is runnable.
+/// Checked before planning so a typo never reaches a job.
+std::string matrix_error(const Cli& cli) {
+    const auto& corpus = netlist::corpus_entries();
+    for (const auto& name : cli.circuits) {
+        const auto entry =
+            std::find_if(corpus.begin(), corpus.end(),
+                         [&](const netlist::CorpusEntry& e) { return e.name == name; });
+        if (entry == corpus.end())
+            return "unknown circuit '" + name + "' (see --list)";
+        if (entry->cls == netlist::CorpusClass::Sequential)
+            return "circuit '" + name +
+                   "' is sequential; the attacks need a combinational "
+                   "netlist (apply unroll_for_scan first)";
+    }
+    const auto& kinds = DefenseFactory::kinds();
+    for (const auto& kind : cli.defenses)
+        if (std::find(kinds.begin(), kinds.end(), kind) == kinds.end())
+            return "unknown defense '" + kind + "' (known: " + joined(kinds) + ")";
+    for (const auto& name : cli.attacks)
+        if (attack::find_attack(name) == nullptr)
+            return "unknown attack '" + name + "' (known: " +
+                   joined(attack::attack_names()) + ")";
+    return {};
 }
 
 /// --dry-run: the plan as the operator will shard it — one row per job with
@@ -366,6 +383,10 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--resume requires --checkpoint=PATH\n");
         return 2;
     }
+    if (const std::string error = matrix_error(cli); !error.empty()) {
+        std::fprintf(stderr, "run_campaign: %s\n", error.c_str());
+        return 2;
+    }
 
     // Build the job matrix.
     std::vector<DefenseConfig> defenses;
@@ -386,10 +407,7 @@ int main(int argc, char** argv) {
     attack::AttackOptions attack_options;
     attack_options.timeout_seconds = cli.timeout_seconds;
     attack_options.max_conflicts = cli.max_conflicts;
-    attack_options.solver_backend = cli.solver;
     attack_options.encoder = cli.encoder;
-    attack_options.solver.portfolio_width = cli.portfolio_width;
-    attack_options.solver.portfolio_race = cli.portfolio_race;
     attack_options.solver.inprocess_interval = cli.inprocess_interval;
     for (const auto& pass : cli.inprocess) {
         if (pass == "viv") attack_options.solver.use_vivification = true;
@@ -401,20 +419,6 @@ int main(int argc, char** argv) {
                          pass.c_str());
             return 2;
         }
-    }
-    try {
-        // Validate up front so a typo fails before any job runs; the error
-        // lists every registered backend.
-        const sat::BackendFactory& backend = sat::backend_by_name(cli.solver);
-        if (!backend.available()) {
-            std::fprintf(stderr,
-                         "solver backend '%s' is not available: %s\n",
-                         cli.solver.c_str(), backend.label().c_str());
-            return 2;
-        }
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
     }
     if (!sat::encoder_mode_from_name(cli.encoder)) {
         std::string known;

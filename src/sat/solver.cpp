@@ -5,12 +5,16 @@
 #include <cmath>
 #include <iterator>
 #include <map>
+#include <new>
+#include <stdexcept>
+#include <utility>
 
 namespace gshe::sat {
 
 Var Solver::new_var() {
-    const Var v = static_cast<Var>(assign_.size());
-    assign_.push_back(LBool::Undef);
+    const Var v = num_vars();
+    vals_.push_back(LBool::Undef);
+    vals_.push_back(LBool::Undef);
     reason_.push_back(kNoReason);
     level_.push_back(0);
     activity_.push_back(0.0);
@@ -73,32 +77,72 @@ bool Solver::add_simplified(Clause c, ClauseRef* out) {
         }
         return true;
     }
-    const ClauseRef cref = alloc_clause(std::move(simplified), /*learnt=*/false);
+    const ClauseRef cref = alloc_clause(simplified, /*learnt=*/false);
     attach(cref);
     if (out != nullptr) *out = cref;
     return true;
 }
 
-Solver::ClauseRef Solver::alloc_clause(Clause lits, bool learnt) {
-    ClauseData cd;
-    cd.lits = std::move(lits);
-    cd.learnt = learnt;
-    clauses_.push_back(std::move(cd));
-    return static_cast<ClauseRef>(clauses_.size() - 1);
+Solver::ClauseRef Solver::alloc_clause(const Clause& lits, bool learnt,
+                                       std::int32_t lbd) {
+    const std::size_t words = kHeaderWords + lits.size();
+    if (arena_.size() + words > kBinaryWatch)
+        throw std::length_error("sat::Solver: clause arena exceeds 2^31 words");
+    const auto cref = static_cast<ClauseRef>(arena_.size());
+    const auto size = static_cast<std::uint32_t>(lits.size());
+    grow_arena(words);  // the activity words read 0.0
+    arena_[cref] = size;
+    arena_[cref + 1] = size;
+    arena_[cref + 2] =
+        (static_cast<std::uint32_t>(lbd) << kLbdShift) | (learnt ? kLearntBit : 0);
+    for (std::uint32_t k = 0; k < size; ++k) set_clause_lit(cref, k, lits[k]);
+    ++num_clauses_;
+    return cref;
+}
+
+void Solver::grow_arena(std::size_t words) {
+    const std::size_t need = arena_.size() + words;
+    if (need > arena_capacity_) {
+        const std::size_t capacity = std::max(need, 2 * arena_capacity_);
+        auto* block = static_cast<std::uint32_t*>(
+            std::realloc(arena_block_.get(), capacity * sizeof(std::uint32_t)));
+        if (block == nullptr) throw std::bad_alloc();
+        (void)arena_block_.release();  // realloc freed or kept it
+        arena_block_.reset(block);
+        arena_capacity_ = capacity;
+    }
+    std::fill_n(arena_block_.get() + arena_.size(), words, 0u);
+    arena_ = {arena_block_.get(), need};
+}
+
+Clause Solver::clause_lits(ClauseRef cr) const {
+    Clause lits(clause_size(cr));
+    for (std::uint32_t k = 0; k < lits.size(); ++k) lits[k] = clause_lit(cr, k);
+    return lits;
+}
+
+void Solver::put_implied_first(ClauseRef reason, Var implied) {
+    if (clause_size(reason) != 2 || clause_lit(reason, 0).var() == implied) return;
+    const Lit other = clause_lit(reason, 0);
+    set_clause_lit(reason, 0, clause_lit(reason, 1));
+    set_clause_lit(reason, 1, other);
 }
 
 void Solver::attach(ClauseRef cref) {
-    const auto& lits = clauses_[cref].lits;
-    watches_[static_cast<std::size_t>((~lits[0]).code())].push_back({cref, lits[1]});
-    watches_[static_cast<std::size_t>((~lits[1]).code())].push_back({cref, lits[0]});
+    // The flag follows the current size: vivification can shrink a clause
+    // to two literals.
+    const ClauseRef tagged = clause_size(cref) == 2 ? cref | kBinaryWatch : cref;
+    const Lit a = clause_lit(cref, 0);
+    const Lit b = clause_lit(cref, 1);
+    watches_[static_cast<std::size_t>((~a).code())].push_back({tagged, b});
+    watches_[static_cast<std::size_t>((~b).code())].push_back({tagged, a});
 }
 
 void Solver::detach(ClauseRef cref) {
-    const auto& lits = clauses_[cref].lits;
-    for (int i = 0; i < 2; ++i) {
-        auto& ws = watches_[static_cast<std::size_t>((~lits[i]).code())];
+    for (const Lit l : {clause_lit(cref, 0), clause_lit(cref, 1)}) {
+        auto& ws = watches_[static_cast<std::size_t>((~l).code())];
         for (std::size_t j = 0; j < ws.size(); ++j)
-            if (ws[j].cref == cref) {
+            if ((ws[j].cref & ~kBinaryWatch) == cref) {
                 ws[j] = ws.back();
                 ws.pop_back();
                 break;
@@ -108,7 +152,8 @@ void Solver::detach(ClauseRef cref) {
 
 void Solver::enqueue(Lit l, ClauseRef reason) {
     const auto v = static_cast<std::size_t>(l.var());
-    assign_[v] = l.negated() ? LBool::False : LBool::True;
+    vals_[static_cast<std::size_t>(l.code())] = LBool::True;
+    vals_[static_cast<std::size_t>((~l).code())] = LBool::False;
     reason_[v] = reason;
     level_[v] = current_level();
     trail_.push_back(l);
@@ -117,50 +162,75 @@ void Solver::enqueue(Lit l, ClauseRef reason) {
 Solver::ClauseRef Solver::propagate() {
     while (qhead_ < trail_.size()) {
         const Lit p = trail_[qhead_++];
+        const Lit not_p = ~p;
         ++stats_.propagations;
         auto& ws = watches_[static_cast<std::size_t>(p.code())];
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-            const Watcher w = ws[i];
+        // No clause moves its watch onto ws (the new watch is a non-false
+        // literal, ~p is false), so the pointers stay valid.
+        Watcher* i = ws.data();
+        Watcher* j = i;
+        Watcher* const end = i + ws.size();
+        while (i != end) {
+            const Watcher w = *i++;
             // Fast path: blocker already true.
-            if (value(w.blocker) == LBool::True) {
-                ws[keep++] = w;
+            const LBool blocker = value(w.blocker);
+            if (blocker == LBool::True) {
+                *j++ = w;
                 continue;
             }
-            ClauseData& c = clauses_[w.cref];
-            auto& lits = c.lits;
-            // Normalize: false watched literal at position 1.
-            const Lit not_p = ~p;
-            if (lits[0] == not_p) std::swap(lits[0], lits[1]);
-            // lits[1] == not_p now.
-            if (value(lits[0]) == LBool::True) {
-                ws[keep++] = {w.cref, lits[0]};
-                continue;
-            }
-            // Find a new watch.
-            bool found = false;
-            for (std::size_t k = 2; k < lits.size(); ++k) {
-                if (value(lits[k]) != LBool::False) {
-                    std::swap(lits[1], lits[k]);
-                    watches_[static_cast<std::size_t>((~lits[1]).code())].push_back(
-                        {w.cref, lits[0]});
-                    found = true;
-                    break;
+            ClauseRef conflict = kNoReason;
+            if ((w.cref & kBinaryWatch) != 0) {
+                // Two literals: the blocker is the other one, unit or false.
+                *j++ = w;
+                const ClauseRef cref = w.cref & ~kBinaryWatch;
+                if (blocker == LBool::Undef) {
+                    enqueue(w.blocker, cref);
+                    continue;
                 }
+                // Store it as the long-clause path leaves a conflict:
+                // analyze() walks it in this order.
+                set_clause_lit(cref, 0, w.blocker);
+                set_clause_lit(cref, 1, not_p);
+                conflict = cref;
+            } else {
+                std::uint32_t* const lits = &arena_[w.cref + kHeaderWords];
+                const std::uint32_t size = arena_[w.cref];
+                // Normalize: false watched literal at position 1.
+                if (lits[0] == word_of(not_p)) std::swap(lits[0], lits[1]);
+                const Lit first = lit_of(lits[0]);
+                if (value(first) == LBool::True) {
+                    *j++ = {w.cref, first};
+                    continue;
+                }
+                // Find a new watch.
+                bool found = false;
+                for (std::uint32_t k = 2; k < size; ++k) {
+                    const Lit l = lit_of(lits[k]);
+                    if (value(l) != LBool::False) {
+                        lits[1] = lits[k];
+                        lits[k] = word_of(not_p);
+                        watches_[static_cast<std::size_t>((~l).code())].push_back(
+                            {w.cref, first});
+                        found = true;
+                        break;
+                    }
+                }
+                if (found) continue;  // watcher moved; do not keep here
+                // Clause is unit or conflicting.
+                *j++ = {w.cref, first};
+                if (value(first) != LBool::False) {
+                    enqueue(first, w.cref);
+                    continue;
+                }
+                conflict = w.cref;
             }
-            if (found) continue;  // watcher moved; do not keep here
-            // Clause is unit or conflicting.
-            ws[keep++] = {w.cref, lits[0]};
-            if (value(lits[0]) == LBool::False) {
-                // Conflict: restore untouched watchers and bail out.
-                for (std::size_t k = i + 1; k < ws.size(); ++k) ws[keep++] = ws[k];
-                ws.resize(keep);
-                qhead_ = trail_.size();
-                return w.cref;
-            }
-            enqueue(lits[0], w.cref);
+            // Conflict: restore untouched watchers and bail out.
+            while (i != end) *j++ = *i++;
+            ws.resize(static_cast<std::size_t>(j - ws.data()));
+            qhead_ = trail_.size();
+            return conflict;
         }
-        ws.resize(keep);
+        ws.resize(static_cast<std::size_t>(j - ws.data()));
     }
     return kNoReason;
 }
@@ -169,11 +239,12 @@ void Solver::backtrack_to(int target_level) {
     if (current_level() <= target_level) return;
     const int first = trail_lim_[static_cast<std::size_t>(target_level)];
     for (int i = static_cast<int>(trail_.size()) - 1; i >= first; --i) {
-        const Var v = trail_[static_cast<std::size_t>(i)].var();
+        const Lit x = trail_[static_cast<std::size_t>(i)];
+        const Var v = x.var();
         const auto vi = static_cast<std::size_t>(v);
-        if (opts_.use_phase_saving)
-            polarity_[vi] = assign_[vi] == LBool::True ? 1 : 0;
-        assign_[vi] = LBool::Undef;
+        if (opts_.use_phase_saving) polarity_[vi] = x.negated() ? 0 : 1;
+        vals_[2 * vi] = LBool::Undef;
+        vals_[2 * vi + 1] = LBool::Undef;
         reason_[vi] = kNoReason;
         if (!heap_contains(v)) heap_insert(v);
     }
@@ -191,8 +262,8 @@ std::int32_t Solver::compute_lbd(const Clause& c) {
     // Indexed by level_of(), which for the (currently unassigned) asserting
     // literal is its pre-backtrack level — so size by the level ceiling, the
     // variable count, not the current trail depth.
-    if (level_stamp_.size() <= assign_.size())
-        level_stamp_.resize(assign_.size() + 1, 0);
+    if (level_stamp_.size() <= level_.size())
+        level_stamp_.resize(level_.size() + 1, 0);
     std::int32_t lbd = 0;
     for (Lit l : c) {
         const int lv = level_of(l.var());
@@ -217,10 +288,13 @@ void Solver::analyze(ClauseRef conflict, Clause& learnt, int& backtrack_level) {
 
     // First-UIP resolution walk over the trail.
     do {
-        ClauseData& c = clauses_[reason];
-        if (c.learnt) bump_clause(c);
-        for (std::size_t j = (p == kUndefLit ? 0 : 1); j < c.lits.size(); ++j) {
-            const Lit q = c.lits[j];
+        // The conflict clause is walked whole; a reason skips its implied
+        // literal at index 0.
+        if (p != kUndefLit) put_implied_first(reason, p.var());
+        if (is_learnt(reason)) bump_clause(reason);
+        const std::uint32_t size = clause_size(reason);
+        for (std::uint32_t j = (p == kUndefLit ? 0 : 1); j < size; ++j) {
+            const Lit q = clause_lit(reason, j);
             const auto qv = static_cast<std::size_t>(q.var());
             if (seen_[qv] || level_of(q.var()) == 0) continue;
             seen_[qv] = 1;
@@ -276,9 +350,10 @@ bool Solver::literal_redundant(Lit l, std::uint32_t abstract_levels) {
         const auto cv = static_cast<std::size_t>(cur.var());
         const ClauseRef r = reason_[cv];
         if (r == kNoReason) continue;  // decision reached: handled by caller guard
-        const ClauseData& c = clauses_[r];
-        for (std::size_t j = 1; j < c.lits.size(); ++j) {
-            const Lit q = c.lits[j];
+        put_implied_first(r, cur.var());
+        const std::uint32_t size = clause_size(r);
+        for (std::uint32_t j = 1; j < size; ++j) {
+            const Lit q = clause_lit(r, j);
             const auto qv = static_cast<std::size_t>(q.var());
             if (seen_[qv] || level_of(q.var()) == 0) continue;
             if (reason_[qv] == kNoReason ||
@@ -302,15 +377,21 @@ void Solver::bump_var(Var v) {
     activity_[vi] += var_inc_;
     if (activity_[vi] > 1e100) {
         for (double& a : activity_) a *= 1e-100;
+        for (HeapEntry& e : heap_) e.act *= 1e-100;
         var_inc_ *= 1e-100;
     }
-    if (heap_contains(v)) heap_up(heap_pos_[vi]);
+    if (heap_contains(v)) {
+        const int i = heap_pos_[vi];
+        heap_[static_cast<std::size_t>(i)].act = activity_[vi];
+        heap_up(i);
+    }
 }
 
-void Solver::bump_clause(ClauseData& c) {
-    c.activity += cla_inc_;
-    if (c.activity > 1e20) {
-        for (ClauseRef cr : learnts_) clauses_[cr].activity *= 1e-20;
+void Solver::bump_clause(ClauseRef cr) {
+    const double a = activity(cr) + cla_inc_;
+    set_activity(cr, a);
+    if (a > 1e20) {
+        for (ClauseRef l : learnts_) set_activity(l, activity(l) * 1e-20);
         cla_inc_ *= 1e-20;
     }
 }
@@ -319,54 +400,51 @@ void Solver::bump_clause(ClauseData& c) {
 
 void Solver::heap_insert(Var v) {
     heap_pos_[static_cast<std::size_t>(v)] = static_cast<int>(heap_.size());
-    heap_.push_back(v);
+    heap_.push_back({activity_[static_cast<std::size_t>(v)], v});
     heap_up(static_cast<int>(heap_.size()) - 1);
 }
 
 void Solver::heap_up(int i) {
-    const Var v = heap_[static_cast<std::size_t>(i)];
-    const double act = activity_[static_cast<std::size_t>(v)];
+    const HeapEntry e = heap_[static_cast<std::size_t>(i)];
     while (i > 0) {
         const int parent = (i - 1) / 2;
-        const Var pv = heap_[static_cast<std::size_t>(parent)];
-        if (activity_[static_cast<std::size_t>(pv)] >= act) break;
-        heap_[static_cast<std::size_t>(i)] = pv;
-        heap_pos_[static_cast<std::size_t>(pv)] = i;
+        const HeapEntry& pe = heap_[static_cast<std::size_t>(parent)];
+        if (pe.act >= e.act) break;
+        heap_[static_cast<std::size_t>(i)] = pe;
+        heap_pos_[static_cast<std::size_t>(pe.var)] = i;
         i = parent;
     }
-    heap_[static_cast<std::size_t>(i)] = v;
-    heap_pos_[static_cast<std::size_t>(v)] = i;
+    heap_[static_cast<std::size_t>(i)] = e;
+    heap_pos_[static_cast<std::size_t>(e.var)] = i;
 }
 
 void Solver::heap_down(int i) {
-    const Var v = heap_[static_cast<std::size_t>(i)];
-    const double act = activity_[static_cast<std::size_t>(v)];
+    const HeapEntry e = heap_[static_cast<std::size_t>(i)];
     const int n = static_cast<int>(heap_.size());
     while (true) {
         int child = 2 * i + 1;
         if (child >= n) break;
-        if (child + 1 < n &&
-            activity_[static_cast<std::size_t>(heap_[static_cast<std::size_t>(child + 1)])] >
-                activity_[static_cast<std::size_t>(heap_[static_cast<std::size_t>(child)])])
+        if (child + 1 < n && heap_[static_cast<std::size_t>(child + 1)].act >
+                                 heap_[static_cast<std::size_t>(child)].act)
             ++child;
-        const Var cv = heap_[static_cast<std::size_t>(child)];
-        if (act >= activity_[static_cast<std::size_t>(cv)]) break;
-        heap_[static_cast<std::size_t>(i)] = cv;
-        heap_pos_[static_cast<std::size_t>(cv)] = i;
+        const HeapEntry& ce = heap_[static_cast<std::size_t>(child)];
+        if (e.act >= ce.act) break;
+        heap_[static_cast<std::size_t>(i)] = ce;
+        heap_pos_[static_cast<std::size_t>(ce.var)] = i;
         i = child;
     }
-    heap_[static_cast<std::size_t>(i)] = v;
-    heap_pos_[static_cast<std::size_t>(v)] = i;
+    heap_[static_cast<std::size_t>(i)] = e;
+    heap_pos_[static_cast<std::size_t>(e.var)] = i;
 }
 
 Var Solver::heap_pop() {
-    const Var v = heap_[0];
+    const Var v = heap_[0].var;
     heap_pos_[static_cast<std::size_t>(v)] = -1;
-    const Var last = heap_.back();
+    const HeapEntry last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
         heap_[0] = last;
-        heap_pos_[static_cast<std::size_t>(last)] = 0;
+        heap_pos_[static_cast<std::size_t>(last.var)] = 0;
         heap_down(0);
     }
     return v;
@@ -400,10 +478,16 @@ Lit Solver::pick_branch_lit() {
 // ---- learnt DB reduction ----------------------------------------------------
 
 bool Solver::clause_locked(ClauseRef cref) const {
-    const auto& lits = clauses_[cref].lits;
-    const Var v = lits[0].var();
-    return value(lits[0]) == LBool::True &&
-           reason_[static_cast<std::size_t>(v)] == cref;
+    // A reason's implied literal is at index 0, except that a binary
+    // reason keeps whatever order its watcher found it in.
+    const std::uint32_t candidates = clause_size(cref) == 2 ? 2 : 1;
+    for (std::uint32_t k = 0; k < candidates; ++k) {
+        const Lit l = clause_lit(cref, k);
+        if (value(l) == LBool::True &&
+            reason_[static_cast<std::size_t>(l.var())] == cref)
+            return true;
+    }
+    return false;
 }
 
 void Solver::reduce_learnt_db() {
@@ -411,67 +495,79 @@ void Solver::reduce_learnt_db() {
     // the rest.
     std::vector<ClauseRef> candidates;
     for (ClauseRef cr : learnts_)
-        if (!clauses_[cr].deleted && clauses_[cr].lbd > kGlueKeepLbd &&
-            !clause_locked(cr))
+        if (!is_deleted(cr) && clause_lbd(cr) > kGlueKeepLbd && !clause_locked(cr))
             candidates.push_back(cr);
     std::sort(candidates.begin(), candidates.end(),
-              [&](ClauseRef a, ClauseRef b) {
-                  return clauses_[a].activity < clauses_[b].activity;
-              });
+              [&](ClauseRef a, ClauseRef b) { return activity(a) < activity(b); });
     const std::size_t remove = candidates.size() / 2;
     for (std::size_t i = 0; i < remove; ++i) delete_clause(candidates[i]);
     learnts_.erase(std::remove_if(learnts_.begin(), learnts_.end(),
-                                  [&](ClauseRef cr) { return clauses_[cr].deleted; }),
+                                  [&](ClauseRef cr) { return is_deleted(cr); }),
                    learnts_.end());
 }
 
 // ---- clause arena -----------------------------------------------------------
 
 void Solver::delete_clause(ClauseRef cref) {
-    ClauseData& c = clauses_[cref];
-    if (c.deleted) return;
+    if (is_deleted(cref)) return;
     detach(cref);
-    c.deleted = true;
-    c.lits.clear();
-    c.lits.shrink_to_fit();
-    ++free_list_guard_;
+    arena_[cref + 2] |= kDeletedBit;
+    --num_clauses_;
+    ++tombstones_;
     ++stats_.removed_clauses;
 }
 
 void Solver::garbage_collect() {
-    if (free_list_guard_ == 0) return;
+    if (tombstones_ == 0) return;
     // The inprocessing passes tombstone learnts without touching learnts_
     // bookkeeping; purge those entries before remapping.
     learnts_.erase(std::remove_if(learnts_.begin(), learnts_.end(),
-                                  [&](ClauseRef cr) { return clauses_[cr].deleted; }),
+                                  [&](ClauseRef cr) { return is_deleted(cr); }),
                    learnts_.end());
-    // Compact the arena in place (order-preserving, so watcher traversal and
-    // reduce candidate order — and with them the search trajectory — are
-    // unchanged), then rewrite every stored ClauseRef through the remap.
-    std::vector<ClauseRef> remap(clauses_.size(), kNoReason);
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < clauses_.size(); ++i) {
-        if (clauses_[i].deleted) continue;
-        remap[i] = static_cast<ClauseRef>(out);
-        if (out != i) clauses_[out] = std::move(clauses_[i]);
-        ++out;
+    // Slide every live clause down over the tombstones, trimming the slack
+    // vivification left behind. The order is preserved, so watcher
+    // traversal and reduce candidate order (and with them the search) are
+    // unchanged, and the survivors' old offsets stay sorted for the remap.
+    std::vector<std::pair<ClauseRef, ClauseRef>> moved;  // (old, new)
+    moved.reserve(num_clauses_);
+    ClauseRef out = 0;
+    for (ClauseRef cr = 0; cr < arena_.size();) {
+        const ClauseRef next = next_clause(cr);
+        if (!is_deleted(cr)) {
+            moved.emplace_back(cr, out);
+            const std::uint32_t words = kHeaderWords + clause_size(cr);
+            if (out != cr)
+                std::memmove(&arena_[out], &arena_[cr], words * sizeof(std::uint32_t));
+            arena_[out + 1] = arena_[out];  // extent = size
+            out += words;
+        }
+        cr = next;
     }
-    clauses_.resize(out);
+    arena_ = arena_.first(out);
+    const auto remap = [&](ClauseRef r) {
+        const auto it = std::lower_bound(
+            moved.begin(), moved.end(), r,
+            [](const std::pair<ClauseRef, ClauseRef>& m, ClauseRef x) {
+                return m.first < x;
+            });
+        return it != moved.end() && it->first == r ? it->second : kNoReason;
+    };
     for (auto& ws : watches_)
-        for (Watcher& w : ws) w.cref = remap[w.cref];
+        for (Watcher& w : ws)
+            w.cref = remap(w.cref & ~kBinaryWatch) | (w.cref & kBinaryWatch);
     // Locked (reason) clauses are never deleted, so every live reason
-    // remaps to a live slot.
+    // remaps to a live clause.
     for (ClauseRef& r : reason_)
-        if (r != kNoReason) r = remap[r];
-    for (ClauseRef& cr : learnts_) cr = remap[cr];
-    free_list_guard_ = 0;
+        if (r != kNoReason) r = remap(r);
+    for (ClauseRef& cr : learnts_) cr = remap(cr);
+    tombstones_ = 0;
     ++stats_.gc_runs;
 }
 
 void Solver::maybe_gc() {
-    // Compact once tombstones dominate the arena; the absolute floor keeps
-    // tiny problems from thrashing.
-    if (free_list_guard_ >= 64 && free_list_guard_ * 2 >= clauses_.size())
+    // Compact once tombstones are half of all clauses; the absolute floor
+    // keeps tiny problems from thrashing.
+    if (tombstones_ >= 64 && tombstones_ * 2 >= num_clauses_ + tombstones_)
         garbage_collect();
 }
 
@@ -512,27 +608,20 @@ void Solver::vivify() {
     // already false under the prefix is redundant; a literal propagated true
     // (or a conflict) proves the prefix alone is an implied clause.
     std::vector<ClauseRef> candidates;
-    for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) {
-        const ClauseData& c = clauses_[static_cast<std::size_t>(cr)];
-        if (!c.deleted && !c.learnt && c.lits.size() >= 3) candidates.push_back(cr);
-    }
+    for (ClauseRef cr = 0; cr < arena_.size(); cr = next_clause(cr))
+        if (!is_deleted(cr) && !is_learnt(cr) && clause_size(cr) >= 3)
+            candidates.push_back(cr);
     const std::uint64_t prop_limit = stats_.propagations + kVivifyPropBudget;
     for (ClauseRef cr : candidates) {
         if (!ok_ || stats_.propagations > prop_limit) return;
-        ClauseData& c = clauses_[static_cast<std::size_t>(cr)];
-        if (c.deleted || c.lits.size() < 3) continue;
+        if (is_deleted(cr) || clause_size(cr) < 3) continue;
+        const Clause original = clause_lits(cr);
         // Root-satisfied clauses are implied by unit facts: drop them.
-        bool root_sat = false;
-        for (Lit l : c.lits)
-            if (value(l) == LBool::True) {
-                root_sat = true;
-                break;
-            }
-        if (root_sat) {
+        if (std::any_of(original.begin(), original.end(),
+                        [&](Lit l) { return value(l) == LBool::True; })) {
             delete_clause(cr);
             continue;
         }
-        const Clause original = c.lits;
         detach(cr);
         Clause kept;
         for (Lit l : original) {
@@ -571,7 +660,9 @@ void Solver::vivify() {
             }
             continue;
         }
-        c.lits = std::move(kept);
+        // Shrink in place; the freed slots stay in the extent until GC.
+        arena_[cr] = static_cast<std::uint32_t>(kept.size());
+        for (std::uint32_t k = 0; k < kept.size(); ++k) set_clause_lit(cr, k, kept[k]);
         attach(cr);
     }
 }
@@ -598,14 +689,14 @@ void Solver::recover_xors() {
     };
     std::map<std::vector<Var>, Bucket> buckets;
     std::vector<Var> vars;
-    for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) {
-        const ClauseData& c = clauses_[static_cast<std::size_t>(cr)];
-        if (c.deleted || c.learnt || c.lits.size() < 2 ||
-            c.lits.size() > kXorMaxArity)
+    for (ClauseRef cr = 0; cr < arena_.size(); cr = next_clause(cr)) {
+        if (is_deleted(cr) || is_learnt(cr) || clause_size(cr) < 2 ||
+            clause_size(cr) > kXorMaxArity)
             continue;
+        const Clause lits = clause_lits(cr);
         vars.clear();
         bool assigned = false;
-        for (Lit l : c.lits) {
+        for (Lit l : lits) {
             if (value(l) != LBool::Undef) {
                 assigned = true;
                 break;
@@ -616,7 +707,7 @@ void Solver::recover_xors() {
         std::sort(vars.begin(), vars.end());
         std::uint32_t mask = 0;
         int parity = 0;
-        for (Lit l : c.lits) {
+        for (Lit l : lits) {
             if (!l.negated()) continue;
             const auto pos = std::lower_bound(vars.begin(), vars.end(), l.var());
             mask |= 1u << (pos - vars.begin());
@@ -711,12 +802,12 @@ void Solver::eliminate_variables() {
     // that does not grow the clause count. Assumption variables of the
     // running search are frozen; root-assigned and unused vars are skipped.
     std::vector<std::vector<ClauseRef>> occ(watches_.size());
-    for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) {
-        const ClauseData& c = clauses_[static_cast<std::size_t>(cr)];
-        if (c.deleted) continue;
-        for (Lit l : c.lits)
-            occ[static_cast<std::size_t>(l.code())].push_back(cr);
-    }
+    const auto add_occurrences = [&](ClauseRef cr) {
+        for (std::uint32_t k = 0; k < clause_size(cr); ++k)
+            occ[static_cast<std::size_t>(clause_lit(cr, k).code())].push_back(cr);
+    };
+    for (ClauseRef cr = 0; cr < arena_.size(); cr = next_clause(cr))
+        if (!is_deleted(cr)) add_occurrences(cr);
     std::vector<Clause> resolvents;
     for (Var v = 0; v < num_vars() && ok_; ++v) {
         const auto vi = static_cast<std::size_t>(v);
@@ -725,14 +816,10 @@ void Solver::eliminate_variables() {
         const Lit neg(v, true);
         if (is_assumption(pos) || is_assumption(neg)) continue;
         std::vector<ClauseRef> p_refs, n_refs;
-        for (ClauseRef cr : occ[static_cast<std::size_t>(pos.code())]) {
-            const ClauseData& c = clauses_[static_cast<std::size_t>(cr)];
-            if (!c.deleted && !c.learnt) p_refs.push_back(cr);
-        }
-        for (ClauseRef cr : occ[static_cast<std::size_t>(neg.code())]) {
-            const ClauseData& c = clauses_[static_cast<std::size_t>(cr)];
-            if (!c.deleted && !c.learnt) n_refs.push_back(cr);
-        }
+        for (ClauseRef cr : occ[static_cast<std::size_t>(pos.code())])
+            if (!is_deleted(cr) && !is_learnt(cr)) p_refs.push_back(cr);
+        for (ClauseRef cr : occ[static_cast<std::size_t>(neg.code())])
+            if (!is_deleted(cr) && !is_learnt(cr)) n_refs.push_back(cr);
         if (p_refs.empty() && n_refs.empty()) continue;  // unused var
         if (p_refs.size() * n_refs.size() > kBveMaxOccProduct) continue;
 
@@ -743,10 +830,10 @@ void Solver::eliminate_variables() {
         for (ClauseRef pr : p_refs) {
             for (ClauseRef nr : n_refs) {
                 Clause r;
-                for (Lit l : clauses_[static_cast<std::size_t>(pr)].lits)
-                    if (l != pos) r.push_back(l);
-                for (Lit l : clauses_[static_cast<std::size_t>(nr)].lits)
-                    if (l != neg) r.push_back(l);
+                for (std::uint32_t k = 0; k < clause_size(pr); ++k)
+                    if (clause_lit(pr, k) != pos) r.push_back(clause_lit(pr, k));
+                for (std::uint32_t k = 0; k < clause_size(nr); ++k)
+                    if (clause_lit(nr, k) != neg) r.push_back(clause_lit(nr, k));
                 std::sort(r.begin(), r.end());
                 r.erase(std::unique(r.begin(), r.end()), r.end());
                 bool taut = false;
@@ -775,10 +862,8 @@ void Solver::eliminate_variables() {
         // included — they are implied, hence deletable), add the resolvents.
         ElimEntry entry;
         entry.v = v;
-        for (ClauseRef cr : p_refs)
-            entry.clauses.push_back(clauses_[static_cast<std::size_t>(cr)].lits);
-        for (ClauseRef cr : n_refs)
-            entry.clauses.push_back(clauses_[static_cast<std::size_t>(cr)].lits);
+        for (ClauseRef cr : p_refs) entry.clauses.push_back(clause_lits(cr));
+        for (ClauseRef cr : n_refs) entry.clauses.push_back(clause_lits(cr));
         for (const Lit l : {pos, neg})
             for (ClauseRef cr : occ[static_cast<std::size_t>(l.code())])
                 delete_clause(cr);
@@ -790,9 +875,7 @@ void Solver::eliminate_variables() {
             ClauseRef added = kNoReason;
             if (!add_simplified(std::move(r), &added))
                 return;  // root conflict: ok_ is false
-            if (added != kNoReason)
-                for (Lit l : clauses_[static_cast<std::size_t>(added)].lits)
-                    occ[static_cast<std::size_t>(l.code())].push_back(added);
+            if (added != kNoReason) add_occurrences(added);
         }
     }
 }
@@ -969,14 +1052,13 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                     if (into_assumptions && is_assumption(~learnt[0]))
                         return Result::Unsat;
                 } else {
-                    const ClauseRef cref = alloc_clause(std::move(learnt), true);
-                    clauses_[cref].lbd = compute_lbd(clauses_[cref].lits);
+                    const ClauseRef cref =
+                        alloc_clause(learnt, /*learnt=*/true, compute_lbd(learnt));
                     attach(cref);
                     learnts_.push_back(cref);
                     ++stats_.learnt_clauses;
-                    enqueue(clauses_[cref].lits[0], cref);
-                    if (into_assumptions &&
-                        is_assumption(~clauses_[cref].lits[0]))
+                    enqueue(learnt[0], cref);
+                    if (into_assumptions && is_assumption(~learnt[0]))
                         return Result::Unsat;
                 }
                 decay_var_activity();
@@ -1042,7 +1124,9 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
         if (next == kUndefLit) {
             // Full model found; BVE-eliminated vars get their values from
             // the stored-clause replay.
-            model_.assign(assign_.begin(), assign_.end());
+            model_.resize(static_cast<std::size_t>(num_vars()));
+            for (Var v = 0; v < num_vars(); ++v)
+                model_[static_cast<std::size_t>(v)] = value(v);
             if (!elim_stack_.empty()) extend_model();
             backtrack_to(0);
             return Result::Sat;

@@ -21,12 +21,30 @@
 //    scheduled at root-level points by conflict count and gated per pass by
 //    SolverOptions, on top of a compacting clause arena (garbage_collect).
 //
+// Data layout, chosen for propagate(), which is most of the runtime:
+//  * Clauses live inline in one flat array of 32-bit words: a header (size,
+//    extent, learnt/deleted flags with the LBD, activity) followed by the
+//    literal codes. A ClauseRef is a word offset, so a clause visit is one
+//    dependent load. garbage_collect slides the live clauses down in order.
+//  * A two-literal clause is settled from its watcher alone: the watcher's
+//    cref carries a flag and its blocker is the other literal.
+//  * The VSIDS heap stores {activity, var} pairs, so sifting compares
+//    adjacent memory.
+//  * Assignments are indexed by literal code: value(Lit) is one load.
+// The layout is invisible to the search: compaction keeps clause order, a
+// binary conflict or reason is put in the literal order the long-clause
+// path leaves, and the heap keeps MiniSat's comparisons.
+//
 // Solver is the only implementation of the abstract sat::SolverBackend
 // interface (sat/backend.hpp). The nested Options/Budget/Stats/Result
 // names are aliases for the backend-layer types.
 
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/timer.hpp"
@@ -44,19 +62,20 @@ public:
 
     Solver() : Solver(Options{}) {}
     explicit Solver(Options opts) : opts_(opts) {}
+    // Not copyable: arena_ views the block this object owns.
+    Solver(const Solver&) = delete;
+    Solver& operator=(const Solver&) = delete;
 
     // ---- problem construction ----------------------------------------------
     Var new_var() override;
-    int num_vars() const override { return static_cast<int>(assign_.size()); }
+    int num_vars() const override { return static_cast<int>(level_.size()); }
 
     /// Adds a clause. Returns false if the formula is already unsatisfiable
     /// at the root level (empty clause or conflicting units).
     bool add_clause(Clause c) override;
     using SolverBackend::add_clause;
 
-    std::size_t num_clauses() const override {
-        return clauses_.size() - free_list_guard_;
-    }
+    std::size_t num_clauses() const override { return num_clauses_; }
 
     // ---- solving -----------------------------------------------------------
     Result solve(const std::vector<Lit>& assumptions) override;
@@ -72,27 +91,68 @@ public:
     const Stats& stats() const override { return stats_; }
 
 private:
-    struct ClauseData {
-        std::vector<Lit> lits;
-        double activity = 0.0;
-        std::int32_t lbd = 0;
-        bool learnt = false;
-        bool deleted = false;
-    };
+    // ---- clause arena --------------------------------------------------------
+    // Each clause is a run of words in arena_:
+    //   [0]     size    literals in use
+    //   [1]     extent  literal slots allocated; vivification shrinks a
+    //                   clause in place, so walking the arena steps by extent
+    //   [2]     flags   kLearntBit | kDeletedBit | LBD << kLbdShift
+    //   [3..4]  activity, a double copied in and out with std::memcpy
+    //   [5..]   literal codes (Lit::code())
+    // A ClauseRef is the word offset of a header.
     using ClauseRef = std::uint32_t;
     static constexpr ClauseRef kNoReason = std::numeric_limits<ClauseRef>::max();
+    static constexpr std::uint32_t kHeaderWords = 5;
+    static constexpr std::uint32_t kLearntBit = 1;
+    static constexpr std::uint32_t kDeletedBit = 2;
+    static constexpr std::uint32_t kLbdShift = 2;
+    // Set in Watcher::cref when the clause has two literals; arena offsets
+    // stay below it.
+    static constexpr ClauseRef kBinaryWatch = ClauseRef{1} << 31;
+
+    static Lit lit_of(std::uint32_t word) {
+        return Lit::from_code(static_cast<std::int32_t>(word));
+    }
+    static std::uint32_t word_of(Lit l) { return static_cast<std::uint32_t>(l.code()); }
+
+    std::uint32_t clause_size(ClauseRef cr) const { return arena_[cr]; }
+    ClauseRef next_clause(ClauseRef cr) const {
+        return cr + kHeaderWords + arena_[cr + 1];
+    }
+    bool is_learnt(ClauseRef cr) const { return (arena_[cr + 2] & kLearntBit) != 0; }
+    bool is_deleted(ClauseRef cr) const { return (arena_[cr + 2] & kDeletedBit) != 0; }
+    std::int32_t clause_lbd(ClauseRef cr) const {
+        return static_cast<std::int32_t>(arena_[cr + 2] >> kLbdShift);
+    }
+    double activity(ClauseRef cr) const {
+        double a;
+        std::memcpy(&a, &arena_[cr + 3], sizeof a);
+        return a;
+    }
+    void set_activity(ClauseRef cr, double a) {
+        std::memcpy(&arena_[cr + 3], &a, sizeof a);
+    }
+    Lit clause_lit(ClauseRef cr, std::uint32_t k) const {
+        return lit_of(arena_[cr + kHeaderWords + k]);
+    }
+    void set_clause_lit(ClauseRef cr, std::uint32_t k, Lit l) {
+        arena_[cr + kHeaderWords + k] = word_of(l);
+    }
+    Clause clause_lits(ClauseRef cr) const;
+    /// A binary reason is enqueued from its watcher, which leaves the
+    /// arena order as it was; put the literal of `implied` first, where
+    /// conflict analysis expects a reason's implied literal.
+    void put_implied_first(ClauseRef reason, Var implied);
 
     struct Watcher {
-        ClauseRef cref;
-        Lit blocker;
+        ClauseRef cref;  // | kBinaryWatch for a two-literal clause
+        Lit blocker;     // a literal of the clause; of two, the other one
     };
 
-    // Assignment / trail.
-    LBool value(Lit l) const {
-        const LBool v = assign_[static_cast<std::size_t>(l.var())];
-        return l.negated() ? negate(v) : v;
-    }
-    LBool value(Var v) const { return assign_[static_cast<std::size_t>(v)]; }
+    // Assignment / trail. vals_ is indexed by Lit::code(); both literals of
+    // a variable are written together.
+    LBool value(Lit l) const { return vals_[static_cast<std::size_t>(l.code())]; }
+    LBool value(Var v) const { return vals_[2 * static_cast<std::size_t>(v)]; }
     int level_of(Var v) const { return level_[static_cast<std::size_t>(v)]; }
     int current_level() const { return static_cast<int>(trail_lim_.size()); }
 
@@ -116,7 +176,7 @@ private:
     // Decision heuristic.
     void bump_var(Var v);
     void decay_var_activity() { var_inc_ /= kVarDecay; }
-    void bump_clause(ClauseData& c);
+    void bump_clause(ClauseRef cr);
     void decay_clause_activity() { cla_inc_ /= kClauseDecay; }
     Lit pick_branch_lit();
     void heap_insert(Var v);
@@ -126,14 +186,15 @@ private:
     bool heap_contains(Var v) const { return heap_pos_[static_cast<std::size_t>(v)] >= 0; }
 
     // Clause management.
-    ClauseRef alloc_clause(Clause lits, bool learnt);
+    ClauseRef alloc_clause(const Clause& lits, bool learnt, std::int32_t lbd = 0);
+    void grow_arena(std::size_t words);  // appends `words` zero words
     void attach(ClauseRef cref);
     void detach(ClauseRef cref);
     void reduce_learnt_db();
     bool clause_locked(ClauseRef cref) const;
 
     // Clause arena: delete_clause detaches + tombstones (idempotent);
-    // garbage_collect compacts clauses_ and rewrites every stored ClauseRef
+    // garbage_collect compacts arena_ and rewrites every stored ClauseRef
     // (watchers, reasons, learnts_). Only call GC from points that hold no
     // local ClauseRef.
     void delete_clause(ClauseRef cref);
@@ -174,22 +235,40 @@ private:
     Stats stats_;
     Timer solve_timer_;
 
-    std::vector<ClauseData> clauses_;
+    // The arena's block grows with std::realloc, not std::vector's
+    // allocate-copy-free: glibc moves a large mmapped block with mremap, so
+    // growing never holds two copies of the arena at once (on the
+    // superblue miters that transient set the process's peak RSS).
+    // arena_ views the words in use; std::span::operator[] is
+    // bounds-checked under _GLIBCXX_ASSERTIONS.
+    struct FreeWords {
+        void operator()(std::uint32_t* p) const { std::free(p); }
+    };
+    std::unique_ptr<std::uint32_t[], FreeWords> arena_block_;
+    std::size_t arena_capacity_ = 0;  // words allocated in arena_block_
+    std::span<std::uint32_t> arena_;
     std::vector<ClauseRef> learnts_;
-    // Count of deleted-but-not-yet-compacted arena slots; maybe_gc()
-    // reclaims them once they dominate the arena.
-    std::size_t free_list_guard_ = 0;
+    std::size_t num_clauses_ = 0;  // live clauses in arena_
+    // Deleted clauses still in arena_; maybe_gc() reclaims them once they
+    // are half of all clauses.
+    std::size_t tombstones_ = 0;
 
     std::vector<std::vector<Watcher>> watches_;  // indexed by Lit::code()
-    std::vector<LBool> assign_;
+    std::vector<LBool> vals_;                    // indexed by Lit::code()
     std::vector<ClauseRef> reason_;
     std::vector<int> level_;
     std::vector<Lit> trail_;
     std::vector<int> trail_lim_;
     std::size_t qhead_ = 0;
 
+    // Binary max-heap of vars keyed by activity. Every entry's key equals
+    // activity_[var]: bump_var updates it and rescaling multiplies both.
+    struct HeapEntry {
+        double act;
+        Var var;
+    };
     std::vector<double> activity_;
-    std::vector<int> heap_;      // binary max-heap of vars
+    std::vector<HeapEntry> heap_;
     std::vector<int> heap_pos_;  // var -> index in heap_, -1 if absent
     std::vector<char> polarity_; // saved phase (1 = last assigned true)
     double var_inc_ = 1.0;

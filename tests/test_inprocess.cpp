@@ -9,9 +9,13 @@
 //    inconsistent parity systems without search, BVE eliminates and
 //    reconstructs models, and eliminated variables reopen for incremental
 //    clauses and assumptions.
-//  * Arena-GC stress: repeated reduce/GC cycles keep num_clauses()
-//    accounting and watcher/reason refs consistent (a dangling ref crashes
-//    here, or trips the GSHE_ASAN build in CI).
+//  * Arena-GC stress: repeated reduce/GC cycles keep num_clauses() exact
+//    and watcher/reason refs consistent. A dangling ref derails the search
+//    or crashes here; one that lands inside the arena's allocation is
+//    caught by the GSHE_ASAN build's bounds-checked operator[]
+//    (_GLIBCXX_ASSERTIONS), not by ASan itself.
+//  * Search pinning: a fixed seeded family under ten solver
+//    configurations keeps every SolverStats counter.
 //  * Campaign determinism: a fixed inprocessing config produces
 //    byte-identical CSVs across thread counts.
 #include <gtest/gtest.h>
@@ -19,11 +23,14 @@
 #include <string>
 #include <vector>
 
+#include "camo/cell_library.hpp"
+#include "camo/protect.hpp"
 #include "common/rng.hpp"
 #include "engine/campaign.hpp"
 #include "engine/report.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
+#include "sat/encoder.hpp"
 #include "sat/solver.hpp"
 #include "sat/tseitin.hpp"
 
@@ -383,12 +390,11 @@ TEST(ArenaGc, ReduceCyclesCompactAndKeepAccountingConsistent) {
     ASSERT_EQ(s.solve(), Result::Unsat);
     EXPECT_GT(s.stats().gc_runs, 0u);
     EXPECT_GT(s.stats().removed_clauses, 0u);
-    // All learnts of a decided instance can be reduced away; the arena
-    // never reports fewer clauses than the irredundant formula minus
-    // root-satisfied deletions, and deleted slots are not counted.
-    EXPECT_LE(s.num_clauses(),
-              original + s.stats().learnt_clauses - s.stats().removed_clauses +
-                  s.stats().removed_clauses);  // sanity: accounting is closed
+    // With inprocessing off the only clauses added after `original` are
+    // learnts and the only deletions are counted in removed_clauses, so the
+    // live count is exact across every reduce and compaction.
+    EXPECT_EQ(s.num_clauses(), original + s.stats().learnt_clauses -
+                                   s.stats().removed_clauses);
 }
 
 TEST(ArenaGc, SurvivesRepeatedSolvesWithInprocessingAndIncrementalAdds) {
@@ -422,11 +428,167 @@ TEST(ArenaGc, NumClausesNeverCountsTombstones) {
     // Another solve on the (already refuted) instance is a no-op but walks
     // the compacted arena.
     ASSERT_EQ(s.solve(), Result::Unsat);
-    // num_clauses = live arena slots; it may exceed `before` only by live
-    // learnts, never by tombstones (free_list_guard_ is reset by GC and
-    // subtracted in between).
-    EXPECT_LE(s.num_clauses(),
-              before + (s.stats().learnt_clauses - s.stats().removed_clauses) + 1);
+    // num_clauses counts live clauses only: `before` plus the learnts that
+    // survived, whether or not a compaction has reclaimed the tombstones.
+    EXPECT_EQ(s.num_clauses(),
+              before + s.stats().learnt_clauses - s.stats().removed_clauses);
+}
+
+// ---- search pinning across solver configurations ----------------------------
+//
+// The goldens pin the search of the default options only, while the learnt-DB
+// schedule, vivification, XOR recovery and BVE all rewrite clauses in the
+// arena. This suite runs one fixed seeded family under every configuration
+// and pins all eleven SolverStats counters, summed over the family. The
+// expected values were recorded at commit 17ea0cd, before the flat clause
+// arena; a change to clause storage or the hot loops that keeps the search
+// keeps every number.
+
+void add_stats(SolverStats& into, const SolverStats& from) {
+    into.decisions += from.decisions;
+    into.propagations += from.propagations;
+    into.conflicts += from.conflicts;
+    into.restarts += from.restarts;
+    into.learnt_clauses += from.learnt_clauses;
+    into.removed_clauses += from.removed_clauses;
+    into.inprocessings += from.inprocessings;
+    into.gc_runs += from.gc_runs;
+    into.vivified_lits += from.vivified_lits;
+    into.xors_recovered += from.xors_recovered;
+    into.eliminated_vars += from.eliminated_vars;
+}
+
+// Random 3-SAT near the threshold plus binary clauses, so both the binary
+// and the long-clause propagation paths carry the search.
+void random_3sat_with_binaries(Solver& s, std::uint64_t seed) {
+    Rng rng(seed);
+    constexpr int kVars = 70;
+    for (int v = 0; v < kVars; ++v) s.new_var();
+    const auto lit = [&] {
+        return Lit(static_cast<Var>(rng.below(kVars)), rng.bernoulli(0.5));
+    };
+    for (int i = 0; i < 260; ++i) s.add_clause(Clause{lit(), lit(), lit()});
+    for (int i = 0; i < 30; ++i) s.add_clause(lit(), lit());
+}
+
+// The attack's DIP loop on a small camouflaged circuit: DIP solves under
+// {guard} with an agreement pair per DIP, then key extraction under
+// {~guard} on the same solver.
+void camo_miter_rounds(Solver& s) {
+    netlist::RandomSpec spec;
+    spec.n_inputs = 12;
+    spec.n_outputs = 6;
+    spec.n_gates = 70;
+    spec.seed = 2024;
+    const netlist::Netlist plain = netlist::random_circuit(spec);
+    const camo::Protection prot = camo::apply_camouflage(
+        plain, camo::select_gates(plain, 0.15, 3), camo::gshe16(), 3);
+    const netlist::Simulator oracle(prot.netlist);
+    CircuitEncoder encoder(s);
+    const Encoding e1 = encoder.encode(prot.netlist);
+    const Encoding e2 = encoder.encode(prot.netlist, e1.pis);
+    const Lit guard(s.new_var(), false);
+    encoder.add_difference(e1.outs, e2.outs, guard);
+    for (int round = 0; round < 24 && s.solve({guard}) == Result::Sat; ++round) {
+        std::vector<bool> x(e1.pis.size());
+        for (std::size_t i = 0; i < x.size(); ++i) x[i] = s.model_bool(e1.pis[i]);
+        encoder.add_agreement_pair(prot.netlist, e1.keys, e2.keys, x,
+                                   oracle.run_single(x));
+    }
+    s.solve({~guard});
+}
+
+SolverStats run_pinned_family(const Solver::Options& opts) {
+    SolverStats total;
+    const auto run = [&](const auto& build) {
+        Solver s(opts);
+        // Caps the configurations without learning, whose chronological
+        // search would otherwise enumerate pigeonhole 7 for minutes.
+        SolverBudget budget;
+        budget.max_conflicts = 20000;
+        s.set_budget(budget);
+        build(s);
+        add_stats(total, s.stats());
+    };
+    for (std::uint64_t seed = 1; seed <= 6; ++seed)
+        run([&](Solver& s) {
+            random_3sat_with_binaries(s, 0x3a7 + seed);
+            s.solve();
+        });
+    for (const int holes : {6, 7})
+        run([&](Solver& s) {
+            pigeonhole(s, holes);
+            s.solve();
+        });
+    run(camo_miter_rounds);
+    return total;
+}
+
+struct PinnedSearch {
+    const char* name;
+    Solver::Options opts;
+    SolverStats want;
+};
+
+std::vector<PinnedSearch> pinned_searches() {
+    const auto with = [](auto edit) {
+        Solver::Options o;
+        edit(o);
+        return o;
+    };
+    // Each pass alone runs at the same short interval as all three together,
+    // so it also rewrites the arena mid-search, not only on entry.
+    const auto pass = [&](bool Solver::Options::*flag) {
+        return with([&](Solver::Options& o) {
+            o.*flag = true;
+            o.inprocess_interval = 64;
+        });
+    };
+    // {decisions, propagations, conflicts, restarts, learnt_clauses,
+    //  removed_clauses, inprocessings, gc_runs, vivified_lits,
+    //  xors_recovered, eliminated_vars}
+    return {
+        {"defaults", Solver::Options{},
+         {18830, 167478, 6691, 24, 6604, 0, 0, 0, 0, 0, 0}},
+        {"reduce_interval=32",
+         with([](Solver::Options& o) { o.reduce_interval = 32; }),
+         {19945, 167014, 7409, 29, 7329, 4690, 0, 4, 0, 0, 0}},
+        {"vivification", pass(&Solver::Options::use_vivification),
+         {12375, 913083, 5817, 22, 5788, 6218, 37, 0, 22357, 0, 0}},
+        {"xor_recovery", pass(&Solver::Options::use_xor_recovery),
+         {20319, 168001, 6764, 23, 6668, 84, 41, 0, 0, 2941, 0}},
+        {"bve", pass(&Solver::Options::use_bve),
+         {16930, 127944, 5909, 22, 5837, 2003, 44, 0, 0, 0, 331}},
+        {"all_passes", inprocess_all(),
+         {12748, 777961, 6344, 25, 6313, 14779, 41, 2, 25570, 870, 421}},
+        {"no_learning", with([](Solver::Options& o) { o.use_learning = false; }),
+         {58906, 481012, 50204, 168, 0, 0, 0, 0, 0, 0, 0}},
+        {"no_restarts", with([](Solver::Options& o) { o.use_restarts = false; }),
+         {18836, 158853, 5820, 0, 5717, 0, 0, 0, 0, 0, 0}},
+        {"no_vsids", with([](Solver::Options& o) { o.use_vsids = false; }),
+         {14154, 187797, 2975, 9, 2874, 0, 0, 0, 0, 0, 0}},
+        {"no_phase_saving",
+         with([](Solver::Options& o) { o.use_phase_saving = false; }),
+         {17087, 158420, 5491, 22, 5415, 0, 0, 0, 0, 0, 0}},
+    };
+}
+
+TEST(ArenaGc, EveryConfigurationKeepsItsPinnedSearch) {
+    for (const PinnedSearch& p : pinned_searches()) {
+        SCOPED_TRACE(p.name);
+        const SolverStats got = run_pinned_family(p.opts);
+        EXPECT_EQ(got.decisions, p.want.decisions);
+        EXPECT_EQ(got.propagations, p.want.propagations);
+        EXPECT_EQ(got.conflicts, p.want.conflicts);
+        EXPECT_EQ(got.restarts, p.want.restarts);
+        EXPECT_EQ(got.learnt_clauses, p.want.learnt_clauses);
+        EXPECT_EQ(got.removed_clauses, p.want.removed_clauses);
+        EXPECT_EQ(got.inprocessings, p.want.inprocessings);
+        EXPECT_EQ(got.gc_runs, p.want.gc_runs);
+        EXPECT_EQ(got.vivified_lits, p.want.vivified_lits);
+        EXPECT_EQ(got.xors_recovered, p.want.xors_recovered);
+        EXPECT_EQ(got.eliminated_vars, p.want.eliminated_vars);
+    }
 }
 
 // ---- campaign determinism with inprocessing on ------------------------------

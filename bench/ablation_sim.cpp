@@ -6,7 +6,7 @@
 //   multi-word  1024 patterns as sixteen 64-bit sweeps vs one
 //               run_words(16) pass (the OracleService / AppSAT shape)
 //   cone        per-DIP full run_single_all vs the cone-restricted
-//               run_frontier_single the compact encoder now uses
+//               run_frontier_single the CNF encoder now uses
 //
 // Gated only on deterministic counters: kernel/frontier word equality and a
 // >= 2x geomean reduction in per-DIP sweep cost (full-plan steps vs

@@ -182,86 +182,6 @@ inline void write_oracle_cache_bench_json(
     std::printf("wrote %s (%zu modes)\n", path.c_str(), modes.size());
 }
 
-/// Perf-trajectory hook for the CNF encoder ablation: the identical job
-/// matrix runs once per encoder mode, and each job record carries the
-/// CNF-emission counters next to the measured attack seconds. The headline
-/// "per_iteration_reduction_geomean" (legacy vs compact agreement CNF size
-/// per DIP iteration) is derived from deterministic counters and is the
-/// gating metric; wall-clock fields are measured, not derived, so those are
-/// *not* byte-reproducible.
-inline void write_encoder_bench_json(const std::string& path,
-                                     const std::vector<std::string>& labels,
-                                     const engine::CampaignResult& legacy,
-                                     const engine::CampaignResult& compact,
-                                     double per_iteration_reduction_geomean,
-                                     double wall_speedup_geomean) {
-    JsonWriter w;
-    w.begin_object();
-    w.key("bench");
-    w.value("encoder");
-    w.key("jobs");
-    w.value(static_cast<std::uint64_t>(legacy.jobs.size()));
-    w.key("modes");
-    w.begin_array();
-    const engine::CampaignResult* campaigns[2] = {&legacy, &compact};
-    const char* names[2] = {"legacy", "compact"};
-    for (int m = 0; m < 2; ++m) {
-        const engine::CampaignResult& campaign = *campaigns[m];
-        w.begin_object();
-        w.key("mode");
-        w.value(names[m]);
-        w.key("wall_seconds");
-        w.value(campaign.wall_seconds);
-        w.key("jobs");
-        w.begin_array();
-        for (std::size_t i = 0; i < campaign.jobs.size(); ++i) {
-            const engine::JobResult& j = campaign.jobs[i];
-            const auto& es = j.result.encoder_stats;
-            w.begin_object();
-            if (i < labels.size()) {
-                w.key("label");
-                w.value(labels[i]);
-            }
-            w.key("status");
-            w.value(status_cell(j));
-            w.key("iterations");
-            w.value(static_cast<std::uint64_t>(j.result.iterations));
-            w.key("attack_seconds");
-            w.value(j.result.seconds);
-            w.key("vars");
-            w.value(es.vars);
-            w.key("clauses");
-            w.value(es.clauses);
-            w.key("gates_folded");
-            w.value(es.gates_folded);
-            w.key("hash_hits");
-            w.value(es.hash_hits);
-            w.key("agreements");
-            w.value(es.agreements);
-            w.key("agreement_vars");
-            w.value(es.agreement_vars);
-            w.key("agreement_clauses");
-            w.value(es.agreement_clauses);
-            w.key("cone_gates");
-            w.value(es.cone_gates);
-            w.key("sim_gates");
-            w.value(es.sim_gates);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-    }
-    w.end_array();
-    w.key("per_iteration_reduction_geomean");
-    w.value(per_iteration_reduction_geomean);
-    w.key("wall_speedup_geomean");
-    w.value(wall_speedup_geomean);
-    w.end_object();
-    write_text_file(path, w.str() + "\n");
-    std::printf("wrote %s (%zu jobs x 2 modes)\n", path.c_str(),
-                legacy.jobs.size());
-}
-
 /// BENCH_sim.json: the levelized bit-sliced simulation engine ablation.
 /// Per-circuit rows pair deterministic plan counters (full vs frontier step
 /// counts — the gating metric) with measured sweep timings (reference walk

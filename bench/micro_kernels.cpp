@@ -12,8 +12,8 @@
 #include "netlist/corpus.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/simulator.hpp"
+#include "sat/encoder.hpp"
 #include "sat/solver.hpp"
-#include "sat/tseitin.hpp"
 #include "sta/sta.hpp"
 
 namespace {
@@ -96,7 +96,7 @@ void BM_MultiWordSimulation(benchmark::State& state) {
 BENCHMARK(BM_MultiWordSimulation);
 
 void BM_FrontierSweepSingle(benchmark::State& state) {
-    // The compact encoder's per-DIP sweep: the cone-restricted sub-plan on
+    // The CNF encoder's per-DIP sweep: the cone-restricted sub-plan on
     // a 10%-camouflaged c7552 stand-in, one pattern per call.
     const auto nl = netlist::build_benchmark("c7552");
     const auto sel = camo::select_gates(nl, 0.10, 1);
@@ -128,14 +128,15 @@ void BM_FrontierSweepWords(benchmark::State& state) {
 }
 BENCHMARK(BM_FrontierSweepWords);
 
-void BM_TseitinEncode(benchmark::State& state) {
+void BM_CircuitEncode(benchmark::State& state) {
     const auto nl = netlist::build_benchmark("c7552");
     for (auto _ : state) {
         sat::Solver solver;
-        benchmark::DoNotOptimize(sat::encode_circuit(solver, nl));
+        sat::CircuitEncoder encoder(solver);
+        benchmark::DoNotOptimize(encoder.encode(nl));
     }
 }
-BENCHMARK(BM_TseitinEncode)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CircuitEncode)->Unit(benchmark::kMillisecond);
 
 void BM_SatSolveMiter(benchmark::State& state) {
     // One miter solve (first DIP) of a 10%-camouflaged c7552 stand-in.
@@ -144,9 +145,10 @@ void BM_SatSolveMiter(benchmark::State& state) {
     const auto prot = camo::apply_camouflage(nl, sel, camo::gshe16(), 1);
     for (auto _ : state) {
         sat::Solver solver;
-        const auto e1 = sat::encode_circuit(solver, prot.netlist);
-        const auto e2 = sat::encode_circuit(solver, prot.netlist, e1.pis);
-        sat::add_difference(solver, e1.outs, e2.outs);
+        sat::CircuitEncoder encoder(solver);
+        const auto e1 = encoder.encode(prot.netlist);
+        const auto e2 = encoder.encode(prot.netlist, e1.pis);
+        encoder.add_difference(e1.outs, e2.outs);
         benchmark::DoNotOptimize(solver.solve());
     }
 }

@@ -24,7 +24,7 @@ AttackResult appsat_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
     }
 
     sat::Solver solver(base.solver);
-    sat::CircuitEncoder encoder(solver, detail::resolve_encoder_mode(base));
+    sat::CircuitEncoder encoder(solver);
     const auto enc1 = encoder.encode(camo_nl);
     const auto enc2 = encoder.encode(camo_nl, enc1.pis);
     // The difference rides a selector literal, so settlement extraction is
@@ -135,7 +135,7 @@ AttackResult appsat_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
             break;
         }
         // Reinforce with every queued wrong pattern in one batched encode:
-        // the compact encoder's simulation sweeps run packed (64 patterns a
+        // the CNF encoder's simulation sweeps run packed (64 patterns a
         // sweep) instead of single-lane per pattern. Duplicates already in
         // the history are dropped first; the clause stream matches the
         // per-pattern record calls exactly.

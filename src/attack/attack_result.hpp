@@ -41,12 +41,6 @@ struct AttackOptions {
     /// matrices need (Sec. V-B runs AppSAT at a PAC tolerance). Ignored by
     /// the exact attacks.
     double appsat_error_threshold = 0.0;
-    /// CNF encoder mode (sat/encoder.hpp): "legacy" (historical per-gate
-    /// Tseitin — the default, pinned so recorded golden trajectories keep
-    /// reproducing bit-for-bit) or "compact" (constant folding + structural
-    /// hashing + key-cone-reduced agreements). Unknown names make the
-    /// attack throw with the list of modes. Both modes are deterministic.
-    std::string encoder = "legacy";
 };
 
 struct AttackResult {

@@ -23,7 +23,7 @@ AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
     // Phase 1: 2-DIP miter. Four circuit copies share the inputs; pairs
     // (k1,k2) and (k3,k4) each disagree; all cross pairs are distinct keys.
     sat::Solver solver(options.solver);
-    sat::CircuitEncoder encoder(solver, detail::resolve_encoder_mode(options));
+    sat::CircuitEncoder encoder(solver);
     const auto enc1 = encoder.encode(camo_nl);
     const auto enc2 = encoder.encode(camo_nl, enc1.pis);
     const auto enc3 = encoder.encode(camo_nl, enc1.pis);
@@ -66,7 +66,7 @@ AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
         ++res.iterations;
         std::vector<bool> dip = detail::model_values(solver, enc1.pis);
         std::vector<bool> response = oracle.query_single(dip);
-        // Two pair agreements instead of four singles: the compact encoder
+        // Two pair agreements instead of four singles: the CNF encoder
         // simulates the DIP once per pair, with an unchanged clause stream.
         encoder.add_agreement_pair(camo_nl, enc1.keys, enc2.keys, dip,
                                    response);

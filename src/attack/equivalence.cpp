@@ -3,8 +3,8 @@
 #include <stdexcept>
 
 #include "attack/miter_detail.hpp"
+#include "sat/encoder.hpp"
 #include "sat/solver.hpp"
-#include "sat/tseitin.hpp"
 
 namespace gshe::attack {
 namespace {
@@ -40,8 +40,7 @@ EquivResult run_miter(sat::SolverBackend& solver, sat::CircuitEncoder& enc,
 EquivResult check_equivalence(const netlist::Netlist& a,
                               const netlist::Netlist& b,
                               double timeout_seconds,
-                              const sat::SolverOptions& opts,
-                              const std::string& encoder) {
+                              const sat::SolverOptions& opts) {
     if (a.inputs().size() != b.inputs().size() ||
         a.outputs().size() != b.outputs().size())
         throw std::invalid_argument("check_equivalence: interface mismatch");
@@ -51,7 +50,7 @@ EquivResult check_equivalence(const netlist::Netlist& a,
             "(use check_key_equivalence)");
 
     sat::Solver solver(opts);
-    sat::CircuitEncoder enc(solver, detail::resolve_encoder_mode(encoder));
+    sat::CircuitEncoder enc(solver);
     const auto enc_a = enc.encode(a);
     const auto enc_b = enc.encode(b, enc_a.pis);
     return run_miter(solver, enc, enc_a.pis, enc_a.outs, enc_b.outs,
@@ -61,22 +60,21 @@ EquivResult check_equivalence(const netlist::Netlist& a,
 EquivResult check_key_equivalence(const netlist::Netlist& camo_nl,
                                   const camo::Key& key,
                                   double timeout_seconds,
-                                  const sat::SolverOptions& opts,
-                                  const std::string& encoder) {
+                                  const sat::SolverOptions& opts) {
     if (key.bits.size() != static_cast<std::size_t>(camo_nl.key_bit_count()))
         throw std::invalid_argument("check_key_equivalence: key size mismatch");
 
     sat::Solver solver(opts);
-    sat::CircuitEncoder enc(solver, detail::resolve_encoder_mode(encoder));
+    sat::CircuitEncoder enc(solver);
     // Copy A: key variables pinned to the candidate key.
     const auto enc_a = enc.encode(camo_nl);
     for (std::size_t i = 0; i < enc_a.keys.size(); ++i)
-        sat::fix_var(solver, enc_a.keys[i], key.bits[i]);
+        solver.add_clause(sat::Lit(enc_a.keys[i], !key.bits[i]));
     // Copy B: key variables pinned to the true key (ground truth).
     const camo::Key truth = camo::true_key(camo_nl);
     const auto enc_b = enc.encode(camo_nl, enc_a.pis);
     for (std::size_t i = 0; i < enc_b.keys.size(); ++i)
-        sat::fix_var(solver, enc_b.keys[i], truth.bits[i]);
+        solver.add_clause(sat::Lit(enc_b.keys[i], !truth.bits[i]));
 
     return run_miter(solver, enc, enc_a.pis, enc_a.outs, enc_b.outs,
                      timeout_seconds);

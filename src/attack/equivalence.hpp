@@ -4,7 +4,6 @@
 // and as the ground truth behind the protection passes' correctness tests.
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "camo/key.hpp"
@@ -23,19 +22,17 @@ struct EquivResult {
 
 /// Checks whether two plain combinational netlists (same input/output
 /// counts, matched by position) are functionally equivalent. The miter is
-/// built by the CNF encoder named by `encoder` (sat/encoder.hpp) and solved
-/// by the in-tree CDCL solver.
+/// built by the CNF encoder (sat/encoder.hpp) and solved by the in-tree
+/// CDCL solver.
 EquivResult check_equivalence(const netlist::Netlist& a,
                               const netlist::Netlist& b,
                               double timeout_seconds = 60.0,
-                              const sat::SolverOptions& opts = {},
-                              const std::string& encoder = "legacy");
+                              const sat::SolverOptions& opts = {});
 
 /// Checks whether `camo_nl` under `key` equals its own true functionality.
 EquivResult check_key_equivalence(const netlist::Netlist& camo_nl,
                                   const camo::Key& key,
                                   double timeout_seconds = 60.0,
-                                  const sat::SolverOptions& opts = {},
-                                  const std::string& encoder = "legacy");
+                                  const sat::SolverOptions& opts = {});
 
 }  // namespace gshe::attack

@@ -1,21 +1,8 @@
 #include "attack/miter_detail.hpp"
 
-#include <stdexcept>
-
 #include "attack/sat_attack.hpp"
 
 namespace gshe::attack::detail {
-
-sat::EncoderMode resolve_encoder_mode(const std::string& name) {
-    if (const auto mode = sat::encoder_mode_from_name(name)) return *mode;
-    std::string msg = "unknown encoder '" + name + "'; known encoders:";
-    for (const std::string& n : sat::encoder_mode_names()) msg += " " + n;
-    throw std::invalid_argument(msg);
-}
-
-sat::EncoderMode resolve_encoder_mode(const AttackOptions& options) {
-    return resolve_encoder_mode(options.encoder);
-}
 
 void set_remaining_budget(sat::SolverBackend& solver,
                           const AttackOptions& options, const Timer& timer) {
@@ -79,7 +66,7 @@ AttackResult run_single_dip_loop(const netlist::Netlist& camo_nl,
     res.iterations = prior_iterations;
 
     sat::Solver solver(options.solver);
-    sat::CircuitEncoder encoder(solver, resolve_encoder_mode(options));
+    sat::CircuitEncoder encoder(solver);
     const auto enc1 = encoder.encode(camo_nl);
     const auto enc2 = encoder.encode(camo_nl, enc1.pis);
     // The difference rides a selector literal, so the one solver serves

@@ -48,12 +48,6 @@ struct History {
     }
 };
 
-/// Resolves an encoder-mode name ("legacy"/"compact") to the enum. Throws
-/// std::invalid_argument (listing the known modes) for unknown names.
-sat::EncoderMode resolve_encoder_mode(const std::string& name);
-/// Same, reading AttackOptions::encoder.
-sat::EncoderMode resolve_encoder_mode(const AttackOptions& options);
-
 /// The per-solve budget every attack applies: the wall-clock remainder of
 /// the attack's timeout plus the deterministic conflict cap. This is the
 /// single point where AttackOptions turns into a sat::SolverBudget — the

@@ -192,7 +192,6 @@ JobResult CampaignRunner::run_job(const PlannedJob& job,
     r.circuit = spec.circuit;
     r.defense = spec.defense.label();
     r.attack = spec.attack;
-    r.encoder = spec.attack_options.encoder;
     r.spec_seed = spec.seed;
     r.derived_seed = job.derived_seed;
     r.oracle_group = static_cast<std::uint64_t>(job.group);

@@ -64,10 +64,6 @@ struct JobResult {
     std::string circuit;
     std::string defense;     ///< DefenseConfig::label()
     std::string attack;
-    /// CNF encoder mode the attack used (AttackOptions::encoder). Rides the
-    /// JSON report and journal only — the deterministic CSV layout predates
-    /// encoder selection and stays frozen.
-    std::string encoder = "legacy";
     std::uint64_t spec_seed = 0;
     std::uint64_t derived_seed = 0;
     std::size_t protected_cells = 0;

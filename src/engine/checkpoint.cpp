@@ -87,12 +87,6 @@ void write_spec(JsonWriter& w, const JobSpec& spec) {
     w.value(spec.attack_options.verify_seed);
     w.key("appsat_error_threshold");
     w.value_full(spec.attack_options.appsat_error_threshold);
-    // Additive to journal v1, and written only off-default so legacy job
-    // keys (fnv1a over the spec JSON) and plan fingerprints are unchanged.
-    if (spec.attack_options.encoder != "legacy") {
-        w.key("encoder");
-        w.value(spec.attack_options.encoder);
-    }
     w.key("solver");
     write_solver_options(w, spec.attack_options.solver);
     w.end_object();
@@ -116,8 +110,6 @@ void write_result(JsonWriter& w, const JobResult& r) {
     w.value(r.defense);
     w.key("attack");
     w.value(r.attack);
-    w.key("encoder");
-    w.value(r.encoder);
     w.key("spec_seed");
     w.value(r.spec_seed);
     w.key("derived_seed");
@@ -175,7 +167,7 @@ void write_result(JsonWriter& w, const JobResult& r) {
     w.key("eliminated_vars");
     w.value(r.result.solver_stats.eliminated_vars);
     w.end_object();
-    // CNF-encoder telemetry (additive; legacy-era records decode to zeros).
+    // CNF-encoder telemetry.
     w.key("encoder_stats");
     w.begin_object();
     w.key("vars");
@@ -314,7 +306,6 @@ std::optional<JobSpec> spec_from_value(const json::Value& v) {
         opt.verify_seed = u64_field(*o, "verify_seed", opt.verify_seed);
         opt.appsat_error_threshold = double_field(
             *o, "appsat_error_threshold", opt.appsat_error_threshold);
-        opt.encoder = string_field(*o, "encoder", opt.encoder);
         if (const json::Value* s = o->find("solver"); s && s->is_object()) {
             opt.solver.use_vsids =
                 bool_field(*s, "use_vsids", opt.solver.use_vsids);
@@ -345,7 +336,6 @@ std::optional<JobResult> result_from_value(const json::Value& v) {
     r.circuit = string_field(v, "circuit");
     r.defense = string_field(v, "defense");
     r.attack = string_field(v, "attack");
-    r.encoder = string_field(v, "encoder", r.encoder);
     r.spec_seed = u64_field(v, "spec_seed");
     r.derived_seed = u64_field(v, "derived_seed");
     r.protected_cells = static_cast<std::size_t>(

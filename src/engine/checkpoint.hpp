@@ -46,10 +46,13 @@ namespace gshe::engine::checkpoint {
 /// Journal format version; bump when a record's schema changes
 /// incompatibly. Decoders ignore unknown fields, so additive changes do not
 /// need a bump. Version 2: every attack extracts its key on the live miter
-/// solver. Default job specs kept their keys across that change, so version
-/// 1 records — results of the retired fresh-solver extraction — are skipped
-/// rather than resumed or merged into in-place results.
-inline constexpr std::uint64_t kJournalVersion = 2;
+/// solver. Version 3: the per-gate CNF encoding that used to be the default
+/// is gone; every attack encodes through the folding, hashing, key-cone
+/// sat::CircuitEncoder. Default job specs kept their keys across both
+/// changes, so older records — results of the retired extraction or the
+/// retired encoding — are skipped rather than resumed or merged into
+/// current results.
+inline constexpr std::uint64_t kJournalVersion = 3;
 
 /// Shard provenance stamped on every record (additive to version 1): which
 /// plan the job belongs to and which shard's journal it was written into.

@@ -81,8 +81,6 @@ std::string campaign_json(const CampaignResult& result) {
         w.value(j.defense);
         w.key("attack");
         w.value(j.attack);
-        w.key("encoder");
-        w.value(j.encoder);
         w.key("seed");
         w.value(j.spec_seed);
         w.key("derived_seed");

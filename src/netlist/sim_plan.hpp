@@ -11,7 +11,7 @@
 //
 // A restricted plan makes the kernel cone-aware: the subset of steps in the
 // transitive fanin of a requested read set, in the same level-major order.
-// The compact CNF encoder reads only the key-cone frontier per DIP, so its
+// The CNF encoder reads only the key-cone frontier per DIP, so its
 // sweeps shrink from O(|circuit|) to O(|frontier cone|) steps.
 //
 // Plans are cached on the Netlist (sim_plan() / frontier_plan()) and
@@ -59,9 +59,9 @@ struct SimPlan {
 /// walk.
 SimPlan build_sim_plan(const Netlist& nl);
 
-/// The compact encoder's per-DIP read set: every non-cone fanin of a
+/// The CNF encoder's per-DIP read set: every non-cone fanin of a
 /// key-cone gate plus every non-cone primary-output driver — exactly the
-/// gates add_agreement_compact reads as simulated constants. Sorted
+/// gates CircuitEncoder::add_agreement reads as simulated constants. Sorted
 /// ascending; includes non-Logic gates (inputs/constants) whose slots are
 /// seeded rather than computed.
 std::vector<GateId> frontier_read_set(const Netlist& nl);

@@ -72,7 +72,7 @@ public:
     std::vector<bool> run_single(const std::vector<bool>& pi) const;
 
     /// Single-pattern evaluation of EVERY gate (true functions): element id
-    /// is gate id's value under `pi`. One sweep; the compact CNF encoder
+    /// is gate id's value under `pi`. One sweep; the CNF encoder
     /// uses this to replace everything outside the key cone with constants
     /// per DIP.
     std::vector<char> run_single_all(const std::vector<bool>& pi) const;
@@ -96,7 +96,7 @@ public:
     /// Cone-restricted single-pattern sweep: executes only the frontier
     /// sub-plan (Netlist::frontier_plan()). The returned span has one char
     /// per gate but is valid ONLY at Netlist::frontier_read_set() gates —
-    /// exactly what the compact encoder reads per DIP. Aliases internal
+    /// exactly what the CNF encoder reads per DIP. Aliases internal
     /// scratch, valid until the next run.
     std::span<const char> run_frontier_single(const std::vector<bool>& pi) const;
 

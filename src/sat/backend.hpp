@@ -2,7 +2,7 @@
 // The SAT-solver interface.
 //
 // Every SAT consumer in the repo — the oracle-guided attacks, the
-// equivalence checker, the Tseitin encoder — programs against the abstract
+// equivalence checker, the CNF encoder — programs against the abstract
 // SolverBackend interface below. Its one implementation is the in-tree
 // incremental CDCL solver of sat/solver.hpp (MiniSat architecture,
 // deterministic), so every campaign runs one solver whose conflict budget

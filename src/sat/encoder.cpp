@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "netlist/simulator.hpp"
-#include "sat/tseitin.hpp"
 
 namespace gshe::sat {
 namespace {
@@ -15,7 +14,8 @@ using netlist::Gate;
 using netlist::GateId;
 using netlist::kNoGate;
 
-/// Clause literal asserting "var != value" (row guard), as in tseitin.cpp.
+/// Clause literal asserting "var != value": the row guard of a truth-table
+/// clause "(a != va) or (b != vb) or (out == f(va, vb))".
 Lit guard(Var v, bool value) { return Lit(v, value); }
 /// Clause literal asserting "var == value".
 Lit equal(Var v, bool value) { return Lit(v, !value); }
@@ -51,24 +51,7 @@ std::vector<int> camo_key_offsets(const netlist::Netlist& nl, int* total) {
     return off;
 }
 
-const std::string kLegacyName = "legacy";
-const std::string kCompactName = "compact";
-
 }  // namespace
-
-const std::string& encoder_mode_name(EncoderMode mode) {
-    return mode == EncoderMode::Compact ? kCompactName : kLegacyName;
-}
-
-std::optional<EncoderMode> encoder_mode_from_name(const std::string& name) {
-    if (name == kLegacyName) return EncoderMode::Legacy;
-    if (name == kCompactName) return EncoderMode::Compact;
-    return std::nullopt;
-}
-
-std::vector<std::string> encoder_mode_names() {
-    return {kLegacyName, kCompactName};
-}
 
 void accumulate(EncoderStats& into, const EncoderStats& from) {
     into.vars += from.vars;
@@ -82,8 +65,7 @@ void accumulate(EncoderStats& into, const EncoderStats& from) {
     into.sim_gates += from.sim_gates;
 }
 
-CircuitEncoder::CircuitEncoder(SolverBackend& solver, EncoderMode mode)
-    : solver_(solver), mode_(mode) {}
+CircuitEncoder::CircuitEncoder(SolverBackend& solver) : solver_(solver) {}
 
 CircuitEncoder::~CircuitEncoder() = default;
 
@@ -269,34 +251,13 @@ CircuitEncoder::XLit CircuitEncoder::encode_camo(const netlist::CamoCell& cell,
 Encoding CircuitEncoder::encode(const netlist::Netlist& nl,
                                 const std::vector<Var>& shared_pis,
                                 const std::vector<Var>& shared_keys) {
-    const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
-    const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
-
-    Encoding enc;
-    if (mode_ == EncoderMode::Legacy) {
-        CircuitEncoding ce = encode_circuit(solver_, nl, shared_pis, shared_keys);
-        enc.pis = std::move(ce.pis);
-        enc.keys = std::move(ce.keys);
-        enc.key_offset = std::move(ce.key_offset);
-        enc.outs.reserve(ce.outs.size());
-        for (const Var v : ce.outs) enc.outs.push_back(Lit(v, false));
-    } else {
-        enc = encode_compact(nl, shared_pis, shared_keys);
-    }
-
-    stats_.vars += static_cast<std::uint64_t>(solver_.num_vars()) - v0;
-    stats_.clauses += static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
-    return enc;
-}
-
-Encoding CircuitEncoder::encode_compact(const netlist::Netlist& nl,
-                                        const std::vector<Var>& shared_pis,
-                                        const std::vector<Var>& shared_keys) {
     if (!nl.dffs().empty())
         throw std::invalid_argument(
             "CircuitEncoder: netlist is sequential; apply unroll_for_scan first");
     if (!shared_pis.empty() && shared_pis.size() != nl.inputs().size())
         throw std::invalid_argument("CircuitEncoder: shared_pis size mismatch");
+    const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
+    const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
 
     Encoding enc;
     std::vector<XLit> val(nl.size(), XLit::constant(false));
@@ -355,6 +316,9 @@ Encoding CircuitEncoder::encode_compact(const netlist::Netlist& nl,
     enc.outs.reserve(nl.outputs().size());
     for (const netlist::PortRef& po : nl.outputs())
         enc.outs.push_back(realize(val[po.gate]));
+
+    stats_.vars += static_cast<std::uint64_t>(solver_.num_vars()) - v0;
+    stats_.clauses += static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
     return enc;
 }
 
@@ -365,25 +329,10 @@ void CircuitEncoder::add_agreement(const netlist::Netlist& nl,
     const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
     const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
 
-    if (mode_ == EncoderMode::Legacy) {
-        // Byte-for-byte the historical agreement: a fixed fresh variable per
-        // input bit, a full circuit copy, outputs pinned by unit clauses.
-        std::vector<Var> xvars;
-        xvars.reserve(x.size());
-        for (const bool bit : x) {
-            const Var v = solver_.new_var();
-            fix_var(solver_, v, bit);
-            xvars.push_back(v);
-        }
-        const CircuitEncoding enc = encode_circuit(solver_, nl, xvars, keys);
-        for (std::size_t o = 0; o < enc.outs.size(); ++o)
-            fix_var(solver_, enc.outs[o], y[o]);
-    } else {
-        // Cone-restricted sweep: only the steps feeding the key-cone
-        // frontier and the primary outputs run, which is exactly the set
-        // add_agreement_compact reads.
-        add_agreement_compact(nl, keys, x, y, sim_for(nl).run_frontier_single(x));
-    }
+    // Cone-restricted sweep: only the steps feeding the key-cone frontier
+    // and the primary outputs run, which is exactly the set the cone
+    // encoding reads.
+    add_agreement(nl, keys, x, y, sim_for(nl).run_frontier_single(x));
 
     const auto dv = static_cast<std::uint64_t>(solver_.num_vars()) - v0;
     const auto dc = static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
@@ -399,17 +348,12 @@ void CircuitEncoder::add_agreement_pair(const netlist::Netlist& nl,
                                         const std::vector<Var>& keys2,
                                         const std::vector<bool>& x,
                                         const std::vector<bool>& y) {
-    if (mode_ == EncoderMode::Legacy) {
-        add_agreement(nl, keys1, x, y);
-        add_agreement(nl, keys2, x, y);
-        return;
-    }
     const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
     const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
 
     const std::span<const char> values = sim_for(nl).run_frontier_single(x);
-    add_agreement_compact(nl, keys1, x, y, values);
-    add_agreement_compact(nl, keys2, x, y, values);
+    add_agreement(nl, keys1, x, y, values);
+    add_agreement(nl, keys2, x, y, values);
 
     const auto dv = static_cast<std::uint64_t>(solver_.num_vars()) - v0;
     const auto dc = static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
@@ -426,12 +370,6 @@ void CircuitEncoder::add_agreement_batch(
     const std::vector<std::vector<bool>>& ys) {
     if (xs.size() != ys.size())
         throw std::invalid_argument("CircuitEncoder: batch size mismatch");
-    if (mode_ == EncoderMode::Legacy) {
-        for (std::size_t i = 0; i < xs.size(); ++i)
-            for (const std::vector<Var>& keys : keys_list)
-                add_agreement(nl, keys, xs[i], ys[i]);
-        return;
-    }
     const std::size_t n_pis = nl.inputs().size();
     const netlist::Simulator& sim = sim_for(nl);
     const std::vector<GateId>& reads = nl.frontier_read_set();
@@ -460,8 +398,7 @@ void CircuitEncoder::add_agreement_batch(
             const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
             const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
             for (const std::vector<Var>& keys : keys_list)
-                add_agreement_compact(nl, keys, xs[base + j], ys[base + j],
-                                      values);
+                add_agreement(nl, keys, xs[base + j], ys[base + j], values);
             const auto dv = static_cast<std::uint64_t>(solver_.num_vars()) - v0;
             const auto dc =
                 static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
@@ -474,11 +411,11 @@ void CircuitEncoder::add_agreement_batch(
     }
 }
 
-void CircuitEncoder::add_agreement_compact(const netlist::Netlist& nl,
-                                           const std::vector<Var>& keys,
-                                           const std::vector<bool>& x,
-                                           const std::vector<bool>& y,
-                                           std::span<const char> values) {
+void CircuitEncoder::add_agreement(const netlist::Netlist& nl,
+                                   const std::vector<Var>& keys,
+                                   const std::vector<bool>& x,
+                                   const std::vector<bool>& y,
+                                   std::span<const char> values) {
     if (x.size() != nl.inputs().size())
         throw std::invalid_argument("CircuitEncoder: agreement input size mismatch");
     if (y.size() != nl.outputs().size())
@@ -556,59 +493,33 @@ void CircuitEncoder::add_difference_impl(const std::vector<Lit>& a,
     const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
     const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
 
-    if (mode_ == EncoderMode::Legacy) {
-        std::vector<Var> av;
-        std::vector<Var> bv;
-        av.reserve(a.size());
-        bv.reserve(b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            if (a[i].negated() || b[i].negated())
-                throw std::logic_error(
-                    "CircuitEncoder: legacy encodings carry positive literals only");
-            av.push_back(a[i].var());
-            bv.push_back(b[i].var());
+    // XOR each pair through the folding/hashing machinery, then demand
+    // one true. A constant-true XOR discharges the constraint outright;
+    // all-constant-false means the vectors are provably equal.
+    Clause any;
+    bool satisfied = false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const XLit d =
+            encode_fn(core::Bool2::XOR(), xlit_of(a[i]), xlit_of(b[i]));
+        if (d.is_const()) {
+            if (d.const_value()) satisfied = true;
+            continue;
         }
-        if (!guard) {
-            sat::add_difference(solver_, av, bv);
+        any.push_back(d.as_lit());
+    }
+    if (!satisfied) {
+        if (any.empty()) {
+            // Provably equal: unguarded, the formula is refuted at the
+            // root; guarded, only the selector is forced off (the DIP
+            // solve under {guard} answers Unsat, extraction under
+            // {~guard} proceeds).
+            if (guard)
+                solver_.add_clause(~*guard);
+            else
+                contradict();
         } else {
-            // Same XOR/OR ladder, but the final assertion carries the guard:
-            // "guard => the copies differ somewhere" instead of a unit.
-            std::vector<Var> diffs;
-            diffs.reserve(av.size());
-            for (std::size_t i = 0; i < av.size(); ++i)
-                diffs.push_back(add_xor(solver_, av[i], bv[i]));
-            const Var any = add_or(solver_, diffs);
-            solver_.add_clause(~*guard, Lit(any, false));
-        }
-    } else {
-        // XOR each pair through the folding/hashing machinery, then demand
-        // one true. A constant-true XOR discharges the constraint outright;
-        // all-constant-false means the vectors are provably equal.
-        Clause any;
-        bool satisfied = false;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            const XLit d =
-                encode_fn(core::Bool2::XOR(), xlit_of(a[i]), xlit_of(b[i]));
-            if (d.is_const()) {
-                if (d.const_value()) satisfied = true;
-                continue;
-            }
-            any.push_back(d.as_lit());
-        }
-        if (!satisfied) {
-            if (any.empty()) {
-                // Provably equal: unguarded, the formula is refuted at the
-                // root; guarded, only the selector is forced off (the DIP
-                // solve under {guard} answers Unsat, extraction under
-                // {~guard} proceeds).
-                if (guard)
-                    solver_.add_clause(~*guard);
-                else
-                    contradict();
-            } else {
-                if (guard) any.push_back(~*guard);
-                solver_.add_clause(std::move(any));
-            }
+            if (guard) any.push_back(~*guard);
+            solver_.add_clause(std::move(any));
         }
     }
 
@@ -620,14 +531,6 @@ void CircuitEncoder::add_difference(const std::vector<Var>& a,
                                     const std::vector<Var>& b) {
     if (a.size() != b.size())
         throw std::invalid_argument("CircuitEncoder: add_difference size mismatch");
-    if (mode_ == EncoderMode::Legacy) {
-        const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
-        const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
-        sat::add_difference(solver_, a, b);
-        stats_.vars += static_cast<std::uint64_t>(solver_.num_vars()) - v0;
-        stats_.clauses += static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
-        return;
-    }
     std::vector<Lit> al;
     std::vector<Lit> bl;
     al.reserve(a.size());

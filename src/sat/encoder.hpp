@@ -1,36 +1,33 @@
 #pragma once
 // Attack-encoding front end: one object that turns (camouflaged) netlists
-// into CNF for the oracle-guided attacks, in one of two modes.
+// into CNF for the oracle-guided attacks. Three mechanisms stack:
 //
-//   Legacy   byte-for-byte the historical per-gate Tseitin pass of
-//            sat/tseitin.hpp — every gate a fresh variable, every constant a
-//            fresh variable plus unit clause(s). The default: the golden
-//            CSVs and every recorded search trajectory were produced by this
-//            clause stream and must keep reproducing bit for bit.
-//   Compact  the optimized encoder. Three mechanisms stack:
-//            (a) three-valued (constant/literal) propagation — constant
-//                inputs fold through plain gates at encode time, so a gate
-//                whose value is forced contributes no variable and no
-//                clause;
-//            (b) structural hashing on (normalized truth table, input
-//                literals) — the two miter copies and repeated agreement
-//                cones share subformulas instead of duplicating them
-//                (input-polarity/commutative/output-polarity normalization,
-//                AIG-style);
-//            (c) key-cone reduction in add_agreement — the DIP input is
-//                fixed, so the 64-way Simulator evaluates every gate
-//                outside Netlist::key_cone() and only the key-dependent
-//                remainder is encoded, with the simulated values injected
-//                as constants at the cone frontier. Each agreement drops
-//                from O(|circuit|) to O(|key cone|) variables.
-//            One shared constant variable serves every encode-time constant
-//            that still needs a literal (e.g. a primary output that folds).
+//   (a) three-valued (constant/literal) propagation — constant inputs fold
+//       through plain gates at encode time, so a gate whose value is
+//       forced contributes no variable and no clause;
+//   (b) structural hashing on (normalized truth table, input literals) —
+//       the two miter copies and repeated agreement cones share
+//       subformulas instead of duplicating them (input-polarity/
+//       commutative/output-polarity normalization, AIG-style);
+//   (c) key-cone reduction in add_agreement — the DIP input is fixed, so
+//       the 64-way Simulator evaluates every gate outside
+//       Netlist::key_cone() and only the key-dependent remainder is
+//       encoded, with the simulated values injected as constants at the
+//       cone frontier. Each agreement drops from O(|circuit|) to
+//       O(|key cone|) variables.
 //
-// Both modes are deterministic: the clause stream is a pure function of the
-// call sequence, so compact-mode campaigns keep the byte-identical
-// CSV-across-threads/shards/resume contract — against their own compact
-// baseline. Mode selection is campaign data (AttackOptions::encoder →
-// JobSpec → journal → run_campaign --encoder=...).
+// One shared constant variable serves every encode-time constant that still
+// needs a literal (e.g. a primary output that folds).
+//
+// A camouflaged cell with candidate set {f_0..f_{k-1}} gets ceil(log2 k)
+// key variables; each candidate's truth-table rows are guarded by
+// "key == c", and unused key codes (k not a power of two) are forbidden
+// outright. For the 16-function GSHE primitive the four key bits are the
+// gate's truth table.
+//
+// The encoder is deterministic: the clause stream is a pure function of
+// the call sequence, so campaigns keep the byte-identical
+// CSV-across-threads/shards/resume contract.
 
 #include <cstdint>
 #include <memory>
@@ -50,20 +47,10 @@ class Simulator;  // netlist/simulator.hpp
 
 namespace gshe::sat {
 
-enum class EncoderMode { Legacy, Compact };
-
-/// Registry-style spelling ("legacy" / "compact").
-const std::string& encoder_mode_name(EncoderMode mode);
-/// Inverse; std::nullopt for unrecognized spellings.
-std::optional<EncoderMode> encoder_mode_from_name(const std::string& name);
-/// All mode spellings, for CLI/usage errors.
-std::vector<std::string> encoder_mode_names();
-
 /// Counters of what one encoder instance emitted and saved. vars/clauses
-/// are measured as backend deltas around each public call, so legacy and
-/// compact instances are comparable; the fold/hash/cone counters are
-/// compact-mode mechanics (zero in legacy mode). Rides JSON/journal only —
-/// never the deterministic CSV.
+/// are measured as backend deltas around each public call; the
+/// fold/hash/cone counters count the three mechanisms above. Rides
+/// JSON/journal only — never the deterministic CSV.
 struct EncoderStats {
     std::uint64_t vars = 0;     ///< solver variables created by this encoder
     std::uint64_t clauses = 0;  ///< clauses emitted by this encoder
@@ -76,13 +63,12 @@ struct EncoderStats {
     std::uint64_t sim_gates = 0;   ///< gates replaced by simulation instead
 };
 
-/// Field-wise sum — attacks use several encoders (miter + key extraction)
-/// and report one combined counter set.
+/// Field-wise sum — an attack that builds several miters (Double DIP) reports
+/// one combined counter set.
 void accumulate(EncoderStats& into, const EncoderStats& from);
 
-/// Variable/literal map of one circuit instance. Unlike the legacy
-/// CircuitEncoding, outputs are literals: a compact-mode output may fold to
-/// a constant or to the complement of an internal node.
+/// Variable/literal map of one circuit instance. Outputs are literals: an
+/// output may fold to a constant or to the complement of an internal node.
 struct Encoding {
     std::vector<Var> pis;   ///< one var per primary input (netlist order)
     std::vector<Lit> outs;  ///< one literal per primary output
@@ -98,22 +84,22 @@ struct Encoding {
 /// share structure.
 class CircuitEncoder {
 public:
-    explicit CircuitEncoder(SolverBackend& solver,
-                            EncoderMode mode = EncoderMode::Legacy);
+    explicit CircuitEncoder(SolverBackend& solver);
     ~CircuitEncoder();  // out-of-line: owns a unique_ptr<Simulator>
 
-    EncoderMode mode() const { return mode_; }
     const EncoderStats& stats() const { return stats_; }
 
-    /// Encodes one instance of `nl` (shared_pis/shared_keys as in the
-    /// legacy encoder). The netlist must be combinational.
+    /// Encodes one instance of `nl`. A non-empty `shared_pis` lists one
+    /// existing variable per primary input for the instance to reuse (the
+    /// miter copies share their inputs); a non-empty `shared_keys` does the
+    /// same for the key variables. The netlist must be combinational (use
+    /// unroll_for_scan first).
     Encoding encode(const netlist::Netlist& nl,
                     const std::vector<Var>& shared_pis = {},
                     const std::vector<Var>& shared_keys = {});
 
     /// Adds the agreement constraint "the key selected by `keys` must map
-    /// input x to oracle response y". Legacy: a full circuit copy with
-    /// fixed inputs/outputs. Compact: simulate outside the key cone,
+    /// input x to oracle response y": simulate outside the key cone,
     /// encode only the cone with frontier constants; a non-cone output
     /// that contradicts y falsifies the formula outright (the stochastic-
     /// oracle inconsistency case).
@@ -124,9 +110,8 @@ public:
 
     /// Adds the agreement for BOTH miter key copies in one call, emitting
     /// exactly the clause stream of add_agreement(keys1) followed by
-    /// add_agreement(keys2). Compact mode runs the non-cone simulation
-    /// sweep once per DIP instead of once per key copy — a pure wall-clock
-    /// win with an unchanged clause stream.
+    /// add_agreement(keys2), but runs the non-cone simulation sweep once
+    /// per DIP instead of once per key copy.
     void add_agreement_pair(const netlist::Netlist& nl,
                             const std::vector<Var>& keys1,
                             const std::vector<Var>& keys2,
@@ -199,7 +184,6 @@ private:
         }
     };
 
-    // ---- compact-mode machinery --------------------------------------------
     XLit encode_fn(core::Bool2 fn, XLit a, XLit b);
     XLit encode_camo(const netlist::CamoCell& cell, XLit a, XLit b,
                      bool has_b, const std::vector<Var>& key_bits);
@@ -209,14 +193,14 @@ private:
     /// Falsifies the formula at the root (empty clause).
     void contradict();
 
-    Encoding encode_compact(const netlist::Netlist& nl,
-                            const std::vector<Var>& shared_pis,
-                            const std::vector<Var>& shared_keys);
-    void add_agreement_compact(const netlist::Netlist& nl,
-                               const std::vector<Var>& keys,
-                               const std::vector<bool>& x,
-                               const std::vector<bool>& y,
-                               std::span<const char> values);
+    /// The body of every public agreement form: encodes the key cone,
+    /// reading the simulated `values` outside it. Counts cone and simulated
+    /// gates; the callers count vars, clauses and agreements.
+    void add_agreement(const netlist::Netlist& nl,
+                       const std::vector<Var>& keys,
+                       const std::vector<bool>& x,
+                       const std::vector<bool>& y,
+                       std::span<const char> values);
     /// Cached Simulator for the agreement sweeps: one instance per netlist
     /// identity, so scratch buffers persist across DIPs instead of being
     /// reallocated per call.
@@ -226,7 +210,6 @@ private:
                              std::optional<Lit> guard);
 
     SolverBackend& solver_;
-    EncoderMode mode_;
     EncoderStats stats_;
 
     std::unordered_map<PlainKey, Var, PlainKeyHash> plain_hash_;

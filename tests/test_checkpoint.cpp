@@ -321,7 +321,7 @@ TEST(CheckpointRecord, UnknownFieldsAreTolerated) {
         ASSERT_NE(at, std::string::npos) << anchor;
         line.insert(at + anchor.size(), extra);
     };
-    inject_after("{\"v\":2", ",\"future\":{\"nested\":[1,\"two\",null]}");
+    inject_after("{\"v\":3", ",\"future\":{\"nested\":[1,\"two\",null]}");
     inject_after("\"spec\":{", "\"new_spec_field\":3.5,");
     inject_after("\"result\":{", "\"gpu_seconds\":0.1,");
 
@@ -341,7 +341,7 @@ TEST(CheckpointRecord, MalformedAndWrongVersionRejected) {
             << keep;
     // Unsupported version.
     std::string wrong_version = good;
-    wrong_version.replace(wrong_version.find("\"v\":2"), 5, "\"v\":9");
+    wrong_version.replace(wrong_version.find("\"v\":3"), 5, "\"v\":9");
     EXPECT_FALSE(checkpoint::decode_record(wrong_version).has_value());
     // Bad status string.
     std::string bad_status = good;
@@ -351,21 +351,24 @@ TEST(CheckpointRecord, MalformedAndWrongVersionRejected) {
     EXPECT_FALSE(checkpoint::decode_record(bad_status).has_value());
 }
 
-TEST(CheckpointRecord, VersionOneLinesAreSkippedOnLoad) {
+TEST(CheckpointRecord, OlderVersionLinesAreSkippedOnLoad) {
     // Version 1 records hold results of the retired fresh-solver key
-    // extraction under job keys that did not change; they must re-run.
+    // extraction, version 2 records results of the retired per-gate CNF
+    // encoding, both under job keys that did not change; they must re-run.
     const JobSpec spec = sample_spec();
-    const std::string v2 = checkpoint::encode_record(
+    const std::string v3 = checkpoint::encode_record(
         checkpoint::job_key(1, 7, spec), spec, sample_result());
-    std::string v1 = v2;
-    v1.replace(v1.find("\"v\":2"), 5, "\"v\":1");
+    std::string v1 = v3;
+    v1.replace(v1.find("\"v\":3"), 5, "\"v\":1");
+    std::string v2 = v3;
+    v2.replace(v2.find("\"v\":3"), 5, "\"v\":2");
 
-    ScratchJournal scratch("version_one");
-    scratch.write_lines({v1, v2});
+    ScratchJournal scratch("older_versions");
+    scratch.write_lines({v1, v2, v3});
     const std::vector<checkpoint::Record> records =
         checkpoint::load_journal(scratch.path);
     ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records.front().line, v2);
+    EXPECT_EQ(records.front().line, v3);
 }
 
 TEST(CheckpointRecord, JobKeyDependsOnSeedIndexAndSpec) {

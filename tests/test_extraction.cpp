@@ -4,7 +4,6 @@
 // initial miter, whatever the number of settlement extractions).
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "attack/appsat.hpp"
@@ -22,7 +21,6 @@ namespace {
 
 using netlist::Netlist;
 using sat::CircuitEncoder;
-using sat::EncoderMode;
 using sat::Lit;
 using sat::SolveResult;
 
@@ -52,11 +50,12 @@ TEST(History, SkipsExactDuplicatesButKeepsConflictingObservations) {
 
 // ---- guarded difference -----------------------------------------------------
 
-/// The selector contract in miniature: two copies of the same plain circuit
-/// on shared PIs can never differ, so the guarded difference is Unsat under
-/// {guard} — and the extraction face of the solver, assuming {~guard}, must
-/// still be satisfiable because no difference clause leaked in unguarded.
-void check_guarded_difference(EncoderMode mode) {
+TEST(GuardedDifference, ExtractionSolveDoesNotSeeTheDifference) {
+    // The selector contract in miniature: two copies of the same plain
+    // circuit on shared PIs can never differ, so the guarded difference is
+    // Unsat under {guard} — and the extraction face of the solver, assuming
+    // {~guard}, must still be satisfiable because no difference clause
+    // leaked in unguarded.
     netlist::RandomSpec spec;
     spec.n_inputs = 8;
     spec.n_outputs = 5;
@@ -65,7 +64,7 @@ void check_guarded_difference(EncoderMode mode) {
     const Netlist nl = netlist::random_circuit(spec);
 
     sat::Solver s;
-    CircuitEncoder enc(s, mode);
+    CircuitEncoder enc(s);
     const sat::Encoding e1 = enc.encode(nl);
     const sat::Encoding e2 = enc.encode(nl, e1.pis);
     const Lit guard(s.new_var(), false);
@@ -77,14 +76,6 @@ void check_guarded_difference(EncoderMode mode) {
     // DIP face stays Unsat and the extraction face Sat on repeat solves.
     EXPECT_EQ(s.solve({guard}), SolveResult::Unsat);
     EXPECT_EQ(s.solve({~guard}), SolveResult::Sat);
-}
-
-TEST(GuardedDifference, ExtractionSolveDoesNotSeeTheDifferenceLegacy) {
-    check_guarded_difference(EncoderMode::Legacy);
-}
-
-TEST(GuardedDifference, ExtractionSolveDoesNotSeeTheDifferenceCompact) {
-    check_guarded_difference(EncoderMode::Compact);
 }
 
 TEST(GuardedDifference, GuardedMiterFindsTheSameDipsAsUnguarded) {
@@ -131,34 +122,24 @@ TEST(InplaceAttack, AppSatGrowsTheFormulaByAgreementsOnly) {
         plain, camo::select_gates(plain, 0.12, 3), camo::gshe16(), 3);
     ASSERT_FALSE(prot.netlist.camo_cells().empty());
 
-    // The whole preamble: two-copy miter plus the guarded difference
-    // ladder. Everything the attack encodes beyond this must be agreement
-    // CNF.
-    const auto bare_miter = [&](EncoderMode mode) {
-        sat::Solver s;
-        CircuitEncoder enc(s, mode);
-        const sat::Encoding e1 = enc.encode(prot.netlist);
-        const sat::Encoding e2 = enc.encode(prot.netlist, e1.pis);
-        enc.add_difference(e1.outs, e2.outs, Lit(s.new_var(), false));
-        return enc.stats();
-    };
+    // The whole preamble: two-copy miter plus the guarded difference.
+    // Everything the attack encodes beyond this must be agreement CNF.
+    sat::Solver s;
+    CircuitEncoder enc(s);
+    const sat::Encoding e1 = enc.encode(prot.netlist);
+    const sat::Encoding e2 = enc.encode(prot.netlist, e1.pis);
+    enc.add_difference(e1.outs, e2.outs, Lit(s.new_var(), false));
+    const sat::EncoderStats& bare = enc.stats();
 
-    for (const std::string encoder : {"legacy", "compact"}) {
-        attack::ExactOracle oracle(prot.netlist);
-        attack::AppSatOptions opt;
-        opt.base.encoder = encoder;
-        const attack::AttackResult res =
-            attack::appsat_attack(prot.netlist, oracle, opt);
-        ASSERT_EQ(res.status, attack::AttackResult::Status::Success)
-            << encoder;
-        EXPECT_GE(res.inplace_extractions, 1u) << encoder;
+    attack::ExactOracle oracle(prot.netlist);
+    const attack::AttackResult res =
+        attack::appsat_attack(prot.netlist, oracle, attack::AppSatOptions{});
+    ASSERT_EQ(res.status, attack::AttackResult::Status::Success);
+    EXPECT_GE(res.inplace_extractions, 1u);
 
-        const sat::EncoderStats bare =
-            bare_miter(attack::detail::resolve_encoder_mode(encoder));
-        const auto& es = res.encoder_stats;
-        EXPECT_EQ(es.vars - es.agreement_vars, bare.vars) << encoder;
-        EXPECT_EQ(es.clauses - es.agreement_clauses, bare.clauses) << encoder;
-    }
+    const auto& es = res.encoder_stats;
+    EXPECT_EQ(es.vars - es.agreement_vars, bare.vars);
+    EXPECT_EQ(es.clauses - es.agreement_clauses, bare.clauses);
 }
 
 }  // namespace

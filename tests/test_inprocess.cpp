@@ -32,7 +32,6 @@
 #include "netlist/simulator.hpp"
 #include "sat/encoder.hpp"
 #include "sat/solver.hpp"
-#include "sat/tseitin.hpp"
 
 namespace gshe::sat {
 namespace {
@@ -151,6 +150,7 @@ TEST(InprocessCrossCheck, RandomXorSystemsAgreeWithBruteForce) {
 TEST(InprocessCrossCheck, RandomMitersAgreeWithBaselineAndSimulator) {
     Rng rng(0xa11ce);
     int sat_seen = 0, unsat_seen = 0;
+    std::uint64_t self_miter_conflicts = 0;
     for (int trial = 0; trial < 120; ++trial) {
         netlist::RandomSpec spec;
         spec.n_inputs = 6;
@@ -167,14 +167,18 @@ TEST(InprocessCrossCheck, RandomMitersAgreeWithBaselineAndSimulator) {
 
         // random_circuit promotes dangling nodes to extra outputs, so the
         // output counts differ per seed; miter only the declared outputs.
-        const auto first_outs = [&](const CircuitEncoding& e) {
-            return std::vector<Var>(e.outs.begin(),
+        const auto first_outs = [&](const Encoding& e) {
+            return std::vector<Lit>(e.outs.begin(),
                                     e.outs.begin() + spec.n_outputs);
         };
+        // One encoder per side: two encoders share no hash table, so a
+        // self-miter keeps distinct gate variables and the solver, not the
+        // encoder, has to prove it.
         const auto run = [&](Solver& s) {
-            const CircuitEncoding ea = encode_circuit(s, a);
-            const CircuitEncoding eb = encode_circuit(s, b, ea.pis);
-            add_difference(s, first_outs(ea), first_outs(eb));
+            CircuitEncoder enc_a(s), enc_b(s);
+            const Encoding ea = enc_a.encode(a);
+            const Encoding eb = enc_b.encode(b, ea.pis);
+            enc_a.add_difference(first_outs(ea), first_outs(eb));
             return std::pair{s.solve(), ea};
         };
         Solver on(inprocess_all());
@@ -184,6 +188,7 @@ TEST(InprocessCrossCheck, RandomMitersAgreeWithBaselineAndSimulator) {
         ASSERT_EQ(r_on, r_off) << "miter trial " << trial;
         if (self_miter) {
             ASSERT_EQ(r_on, Result::Unsat) << "trial " << trial;
+            self_miter_conflicts += on.stats().conflicts + off.stats().conflicts;
         }
         if (r_on == Result::Sat) {
             // Validate the distinguishing input through the simulator: the
@@ -201,9 +206,11 @@ TEST(InprocessCrossCheck, RandomMitersAgreeWithBaselineAndSimulator) {
             ++unsat_seen;
         }
     }
-    // Both outcomes must actually be exercised.
+    // Both outcomes must actually be exercised, and the solver, not the
+    // encoder, must refute the self-miters.
     EXPECT_GT(sat_seen, 10);
     EXPECT_GT(unsat_seen, 10);
+    EXPECT_GT(self_miter_conflicts, 0u);
 }
 
 // ---- per-pass behaviour -----------------------------------------------------
@@ -345,12 +352,16 @@ TEST(Inprocess, StatsRecordEachPass) {
     spec.seed = 99;
     const netlist::Netlist nl = netlist::random_circuit(spec);
     Solver s(inprocess_all());
-    const CircuitEncoding e1 = encode_circuit(s, nl);
-    const CircuitEncoding e2 = encode_circuit(s, nl, e1.pis);
-    add_difference(s, e1.outs, e2.outs);
+    // One encoder per copy, as in the miter cross-check: the copies keep
+    // distinct gate variables instead of hashing into one.
+    CircuitEncoder enc1(s), enc2(s);
+    const Encoding e1 = enc1.encode(nl);
+    const Encoding e2 = enc2.encode(nl, e1.pis);
+    enc1.add_difference(e1.outs, e2.outs);
     EXPECT_EQ(s.solve(), Result::Unsat);  // a circuit equals itself
     EXPECT_GT(s.stats().inprocessings, 0u);
-    // Tseitin-encoded miters are XOR-rich by construction.
+    // XOR/XNOR gates and the per-output difference XORs each encode as a
+    // full four-clause parity constraint, so the miter is XOR-rich.
     EXPECT_GT(s.stats().xors_recovered, 0u);
 }
 
@@ -546,30 +557,31 @@ std::vector<PinnedSearch> pinned_searches() {
     };
     // {decisions, propagations, conflicts, restarts, learnt_clauses,
     //  removed_clauses, inprocessings, gc_runs, vivified_lits,
-    //  xors_recovered, eliminated_vars}
+    //  xors_recovered, eliminated_vars}, recorded at commit 2da8475 with
+    //  the camo miter compact-encoded.
     return {
         {"defaults", Solver::Options{},
-         {18830, 167478, 6691, 24, 6604, 0, 0, 0, 0, 0, 0}},
+         {14345, 94723, 5880, 20, 5834, 0, 0, 0, 0, 0, 0}},
         {"reduce_interval=32",
          with([](Solver::Options& o) { o.reduce_interval = 32; }),
-         {19945, 167014, 7409, 29, 7329, 4690, 0, 4, 0, 0, 0}},
+         {16343, 101150, 6596, 21, 6543, 4022, 0, 4, 0, 0, 0}},
         {"vivification", pass(&Solver::Options::use_vivification),
-         {12375, 913083, 5817, 22, 5788, 6218, 37, 0, 22357, 0, 0}},
+         {11173, 289890, 5567, 22, 5547, 3156, 35, 0, 8706, 0, 0}},
         {"xor_recovery", pass(&Solver::Options::use_xor_recovery),
-         {20319, 168001, 6764, 23, 6668, 84, 41, 0, 0, 2941, 0}},
+         {13368, 90187, 5826, 19, 5779, 4, 35, 0, 0, 364, 0}},
         {"bve", pass(&Solver::Options::use_bve),
-         {16930, 127944, 5909, 22, 5837, 2003, 44, 0, 0, 0, 331}},
+         {11999, 68462, 4948, 19, 4900, 610, 37, 0, 0, 0, 94}},
         {"all_passes", inprocess_all(),
-         {12748, 777961, 6344, 25, 6313, 14779, 41, 2, 25570, 870, 421}},
+         {11171, 287265, 6154, 25, 6143, 7730, 39, 1, 12264, 143, 191}},
         {"no_learning", with([](Solver::Options& o) { o.use_learning = false; }),
-         {58906, 481012, 50204, 168, 0, 0, 0, 0, 0, 0, 0}},
+         {57599, 467598, 50647, 156, 0, 0, 0, 0, 0, 0, 0}},
         {"no_restarts", with([](Solver::Options& o) { o.use_restarts = false; }),
-         {18836, 158853, 5820, 0, 5717, 0, 0, 0, 0, 0, 0}},
+         {12870, 81342, 5040, 0, 4994, 0, 0, 0, 0, 0, 0}},
         {"no_vsids", with([](Solver::Options& o) { o.use_vsids = false; }),
-         {14154, 187797, 2975, 9, 2874, 0, 0, 0, 0, 0, 0}},
+         {9480, 48785, 1773, 6, 1720, 0, 0, 0, 0, 0, 0}},
         {"no_phase_saving",
          with([](Solver::Options& o) { o.use_phase_saving = false; }),
-         {17087, 158420, 5491, 22, 5415, 0, 0, 0, 0, 0, 0}},
+         {12599, 75624, 4290, 17, 4241, 0, 0, 0, 0, 0, 0}},
     };
 }
 

@@ -1,18 +1,17 @@
-// Tests for the CDCL SAT solver, the Tseitin encoder, DIMACS I/O, and
-// make_backend: unit-level behaviours, brute-force cross-checks on random
-// formulas, structured UNSAT instances, budgets, and encoder/simulator
-// consistency.
+// Tests for the CDCL SAT solver, the CNF encoder's key and input
+// plumbing, DIMACS I/O, and make_backend: unit-level behaviours,
+// brute-force cross-checks on random formulas, structured UNSAT instances
+// and budgets.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "common/rng.hpp"
 #include "netlist/generator.hpp"
-#include "netlist/simulator.hpp"
 #include "sat/backend.hpp"
 #include "sat/dimacs.hpp"
+#include "sat/encoder.hpp"
 #include "sat/solver.hpp"
-#include "sat/tseitin.hpp"
 
 namespace gshe::sat {
 namespace {
@@ -94,10 +93,19 @@ TEST(Solver, SimpleUnsatCore) {
 TEST(Solver, XorChainSatisfiable) {
     // x0 ^ x1 ^ ... ^ x9 = 1 encoded through fresh XOR outputs.
     Solver s;
+    // y = a ^ b as a fresh variable: one clause per falsifying row.
+    const auto add_xor = [&](Var a, Var b) {
+        const Var y = s.new_var();
+        s.add_clause(Lit(a, true), Lit(b, true), Lit(y, true));
+        s.add_clause(Lit(a, false), Lit(b, false), Lit(y, true));
+        s.add_clause(Lit(a, true), Lit(b, false), Lit(y, false));
+        s.add_clause(Lit(a, false), Lit(b, true), Lit(y, false));
+        return y;
+    };
     std::vector<Var> xs;
     for (int i = 0; i < 10; ++i) xs.push_back(s.new_var());
     Var acc = xs[0];
-    for (int i = 1; i < 10; ++i) acc = add_xor(s, acc, xs[i]);
+    for (int i = 1; i < 10; ++i) acc = add_xor(acc, xs[i]);
     s.add_clause(Lit(acc, false));
     ASSERT_EQ(s.solve(), Result::Sat);
     bool parity = false;
@@ -337,34 +345,9 @@ INSTANTIATE_TEST_SUITE_P(
         SolverConfig{"no_learning", {.use_learning = false}}),
     [](const auto& info) { return std::string(info.param.name); });
 
-// ---- Tseitin encoder ---------------------------------------------------------------
+// ---- CNF encoder ------------------------------------------------------------
 
-TEST(Tseitin, CircuitConsistentWithSimulator) {
-    netlist::RandomSpec spec;
-    spec.n_inputs = 14;
-    spec.n_outputs = 10;
-    spec.n_gates = 150;
-    spec.seed = 21;
-    const netlist::Netlist nl = netlist::random_circuit(spec);
-    const netlist::Simulator sim(nl);
-    Rng rng(6);
-    for (int t = 0; t < 30; ++t) {
-        Solver s;
-        const CircuitEncoding enc = encode_circuit(s, nl);
-        std::vector<Lit> assume;
-        std::vector<bool> pi(nl.inputs().size());
-        for (std::size_t i = 0; i < pi.size(); ++i) {
-            pi[i] = rng.bernoulli(0.5);
-            assume.push_back(Lit(enc.pis[i], !pi[i]));
-        }
-        ASSERT_EQ(s.solve(assume), Result::Sat);
-        const auto expect = sim.run_single(pi);
-        for (std::size_t o = 0; o < expect.size(); ++o)
-            ASSERT_EQ(s.model_bool(enc.outs[o]), expect[o]);
-    }
-}
-
-TEST(Tseitin, CamoGateKeySelectsFunction) {
+TEST(CircuitEncoder, CamoGateKeySelectsFunction) {
     using core::Bool2;
     netlist::Netlist nl("t");
     const auto a = nl.add_input("a");
@@ -374,7 +357,8 @@ TEST(Tseitin, CamoGateKeySelectsFunction) {
     nl.camouflage(g, {Bool2::AND(), Bool2::OR(), Bool2::XOR()}, "lib");
 
     Solver s;
-    const CircuitEncoding enc = encode_circuit(s, nl);
+    CircuitEncoder encoder(s);
+    const Encoding enc = encoder.encode(nl);
     ASSERT_EQ(enc.keys.size(), 2u);
     // For each valid key code, outputs must match the selected candidate.
     const Bool2 cands[] = {Bool2::AND(), Bool2::OR(), Bool2::XOR()};
@@ -388,7 +372,8 @@ TEST(Tseitin, CamoGateKeySelectsFunction) {
                     Lit(enc.pis[1], vb == 0),
                 };
                 ASSERT_EQ(s.solve(assume), Result::Sat);
-                ASSERT_EQ(s.model_bool(enc.outs[0]),
+                const Lit out = enc.outs[0];
+                ASSERT_EQ(s.model_bool(out.var()) != out.negated(),
                           cands[code].eval(va != 0, vb != 0))
                     << "code " << code << " a " << va << " b " << vb;
             }
@@ -398,7 +383,7 @@ TEST(Tseitin, CamoGateKeySelectsFunction) {
               Result::Unsat);
 }
 
-TEST(Tseitin, SharedPisCoupleInstances) {
+TEST(CircuitEncoder, SharedPisCoupleInstances) {
     netlist::RandomSpec spec;
     spec.n_inputs = 8;
     spec.n_outputs = 4;
@@ -406,42 +391,23 @@ TEST(Tseitin, SharedPisCoupleInstances) {
     spec.seed = 31;
     const netlist::Netlist nl = netlist::random_circuit(spec);
     Solver s;
-    const auto e1 = encode_circuit(s, nl);
-    const auto e2 = encode_circuit(s, nl, e1.pis);
+    CircuitEncoder encoder(s);
+    const auto e1 = encoder.encode(nl);
+    const auto e2 = encoder.encode(nl, e1.pis);
+    EXPECT_EQ(e2.pis, e1.pis);
     // Two copies of the same plain circuit on the same inputs can never
     // differ: forcing a difference must be UNSAT.
-    add_difference(s, e1.outs, e2.outs);
+    encoder.add_difference(e1.outs, e2.outs);
     EXPECT_EQ(s.solve(), Result::Unsat);
 }
 
-TEST(Tseitin, RejectsSequentialNetlists) {
+TEST(CircuitEncoder, RejectsSequentialNetlists) {
     netlist::Netlist nl("seq");
     const auto d = nl.add_input("d");
     nl.add_dff(d, "ff");
     Solver s;
-    EXPECT_THROW(encode_circuit(s, nl), std::invalid_argument);
-}
-
-TEST(Tseitin, HelperGates) {
-    Solver s;
-    const Var a = s.new_var(), b = s.new_var();
-    const Var y = add_xor(s, a, b);
-    const Var o = add_or(s, {a, b});
-    for (int m = 0; m < 4; ++m) {
-        const bool va = m & 1, vb = m & 2;
-        ASSERT_EQ(s.solve({Lit(a, !va), Lit(b, !vb)}), Result::Sat);
-        EXPECT_EQ(s.model_bool(y), va != vb);
-        EXPECT_EQ(s.model_bool(o), va || vb);
-    }
-}
-
-TEST(Tseitin, FixVarPinsValue) {
-    Solver s;
-    const Var v = s.new_var();
-    fix_var(s, v, true);
-    ASSERT_EQ(s.solve(), Result::Sat);
-    EXPECT_TRUE(s.model_bool(v));
-    EXPECT_EQ(s.solve({Lit(v, true)}), Result::Unsat);
+    CircuitEncoder encoder(s);
+    EXPECT_THROW(encoder.encode(nl), std::invalid_argument);
 }
 
 // ---- DIMACS ---------------------------------------------------------------------

@@ -47,7 +47,6 @@
 #include "attack/attack.hpp"
 #include "common/parse.hpp"
 #include "common/report.hpp"
-#include "sat/encoder.hpp"
 #include "engine/campaign.hpp"
 #include "engine/checkpoint.hpp"
 #include "engine/defense.hpp"
@@ -79,7 +78,6 @@ struct Cli {
     std::vector<std::string> circuits = {"ex1010", "c7552"};
     std::vector<std::string> defenses = {"camo", "sarlock", "stochastic"};
     std::vector<std::string> attacks = {"sat", "double_dip"};
-    std::string encoder = "legacy";
     std::vector<std::string> inprocess;  // of: viv, xor, bve
     std::uint64_t inprocess_interval = 8192;
     int n_seeds = 2;
@@ -110,11 +108,6 @@ void usage() {
         "  --defenses=k,...   defense kinds (default camo,sarlock,stochastic;\n"
         "                     also: delay_aware, dynamic)\n"
         "  --attacks=a,...    attacks (default sat,double_dip; also: appsat)\n"
-        "  --encoder=NAME     CNF encoder for every attack (default legacy;\n"
-        "                     'compact' folds constants, hashes shared\n"
-        "                     structure and cone-reduces DIP agreements —\n"
-        "                     deterministic, but a different trajectory than\n"
-        "                     legacy, so compare CSVs within one mode)\n"
         "  --inprocess=p,...  solver inprocessing passes: viv\n"
         "                     (clause vivification), xor (XOR recovery +\n"
         "                     GF(2) elimination), bve (bounded variable\n"
@@ -160,7 +153,7 @@ void usage() {
         "  --timing           add wall-clock columns to the CSV (breaks the\n"
         "                     byte-identical guarantee)\n"
         "  --quiet            suppress per-job progress on stderr\n"
-        "  --list             list circuits/defenses/attacks/encoders and exit\n"
+        "  --list             list circuits/defenses/attacks and exit\n"
         "Unknown circuit, defense or attack names, and sequential circuits\n"
         "(s38584), are usage errors: exit 2 before planning, --dry-run too.");
 }
@@ -177,9 +170,6 @@ void list_choices() {
         const attack::Attack& a = attack::attack_by_name(name);
         std::printf("  %-11s %s\n", name.c_str(), a.label().c_str());
     }
-    std::printf("encoders:\n");
-    for (const auto& name : sat::encoder_mode_names())
-        std::printf("  %s\n", name.c_str());
 }
 
 // ---- strict flag parsing ----------------------------------------------------
@@ -272,7 +262,6 @@ bool parse(Cli& cli, int argc, char** argv, bool& exit_ok) {
         else if (starts("--circuits=")) cli.circuits = split(val(), ',');
         else if (starts("--defenses=")) cli.defenses = split(val(), ',');
         else if (starts("--attacks=")) cli.attacks = split(val(), ',');
-        else if (starts("--encoder=")) cli.encoder = val();
         else if (starts("--inprocess=")) cli.inprocess = split(val(), ',');
         else if (starts("--inprocess-interval=")) cli.inprocess_interval = u64_flag("--inprocess-interval", val());
         else if (starts("--seeds=")) cli.n_seeds = int_flag("--seeds", val(), 1, 1 << 20);
@@ -407,7 +396,6 @@ int main(int argc, char** argv) {
     attack::AttackOptions attack_options;
     attack_options.timeout_seconds = cli.timeout_seconds;
     attack_options.max_conflicts = cli.max_conflicts;
-    attack_options.encoder = cli.encoder;
     attack_options.solver.inprocess_interval = cli.inprocess_interval;
     for (const auto& pass : cli.inprocess) {
         if (pass == "viv") attack_options.solver.use_vivification = true;
@@ -419,13 +407,6 @@ int main(int argc, char** argv) {
                          pass.c_str());
             return 2;
         }
-    }
-    if (!sat::encoder_mode_from_name(cli.encoder)) {
-        std::string known;
-        for (const auto& name : sat::encoder_mode_names()) known += " " + name;
-        std::fprintf(stderr, "unknown encoder '%s'; known encoders:%s\n",
-                     cli.encoder.c_str(), known.c_str());
-        return 2;
     }
 
     const std::vector<JobSpec> jobs = CampaignRunner::cross_product(

@@ -3,10 +3,10 @@
 //
 //   kernel      reference per-gate walk vs the compiled SimPlan sweep
 //               (same 64-pattern workload, word-identical results)
-//   multi-word  1024 patterns as sixteen 64-bit sweeps vs one
-//               run_words(16) pass (the OracleService / AppSAT shape)
-//   cone        per-DIP full run_single_all vs the cone-restricted
-//               run_frontier_single the CNF encoder now uses
+//   multi-word  1024 patterns as sixteen 64-bit sweeps vs one 16-word
+//               run (the key-error-rate / AppSAT settlement shape)
+//   cone        per-DIP full sweep vs the cone-restricted sweep_frontier
+//               the CNF encoder uses
 //
 // Gated only on deterministic counters: kernel/frontier word equality and a
 // >= 2x geomean reduction in per-DIP sweep cost (full-plan steps vs
@@ -88,15 +88,13 @@ int main() {
         std::mt19937_64 rng(kSeed ^ nl.size());
         std::vector<std::uint64_t> pi(nl.inputs().size());
         for (auto& w : pi) w = rng();
-        std::vector<bool> pattern(nl.inputs().size());
-        for (std::size_t i = 0; i < pattern.size(); ++i)
-            pattern[i] = (pi[i] & 1) != 0;
 
         // Deterministic equality checks (gated): the plan kernel and the
         // cone-restricted sweep reproduce the reference walk bit for bit.
         if (sim.run(pi) != sim.run_reference(pi)) words_match = false;
-        const std::vector<char> full_values = sim.run_single_all(pattern);
-        const std::span<const char> frontier = sim.run_frontier_single(pattern);
+        const std::span<const std::uint64_t> full = sim.sweep(pi);
+        const std::vector<std::uint64_t> full_values(full.begin(), full.end());
+        const std::span<const std::uint64_t> frontier = sim.sweep_frontier(pi);
         for (const netlist::GateId g : nl.frontier_read_set())
             if (frontier[g] != full_values[g]) words_match = false;
 
@@ -115,11 +113,10 @@ int main() {
             }
         });
         row.multi_word_s =
-            time_per_call([&] { (void)sim.run_words(pi_words, kWords); });
-        row.full_dip_s =
-            time_per_call([&] { (void)sim.run_single_all_span(pattern); });
+            time_per_call([&] { (void)sim.run(pi_words, kWords); });
+        row.full_dip_s = time_per_call([&] { (void)sim.sweep(pi); });
         row.frontier_dip_s =
-            time_per_call([&] { (void)sim.run_frontier_single(pattern); });
+            time_per_call([&] { (void)sim.sweep_frontier(pi); });
 
         step_reductions.push_back(static_cast<double>(row.full_steps) /
                                   static_cast<double>(row.frontier_steps));

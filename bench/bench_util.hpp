@@ -198,9 +198,9 @@ struct SimCircuitSummary {
     double reference_sweep_s = 0.0;     ///< per 64-pattern reference walk
     double kernel_sweep_s = 0.0;        ///< per 64-pattern plan sweep
     double single_word_s = 0.0;         ///< 1024 patterns as 16 x run()
-    double multi_word_s = 0.0;          ///< 1024 patterns as one run_words(16)
-    double full_dip_s = 0.0;            ///< per-DIP full run_single_all
-    double frontier_dip_s = 0.0;        ///< per-DIP run_frontier_single
+    double multi_word_s = 0.0;          ///< 1024 patterns as one 16-word run()
+    double full_dip_s = 0.0;            ///< per-DIP full sweep()
+    double frontier_dip_s = 0.0;        ///< per-DIP sweep_frontier()
 };
 
 inline void write_sim_bench_json(const std::string& path,

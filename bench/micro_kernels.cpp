@@ -82,15 +82,15 @@ void BM_ReferenceWalkSimulation(benchmark::State& state) {
 BENCHMARK(BM_ReferenceWalkSimulation);
 
 void BM_MultiWordSimulation(benchmark::State& state) {
-    // One run_words(16) pass = 1024 patterns, the OracleService batch /
-    // AppSAT error-estimation sweep shape.
+    // One 16-word run = 1024 patterns, the key-error-rate / AppSAT
+    // settlement sweep shape.
     const auto nl = netlist::build_benchmark("c7552");
     const netlist::Simulator sim(nl);
     constexpr std::size_t kWords = 16;
     Rng rng(5);
     std::vector<std::uint64_t> pi(nl.inputs().size() * kWords);
     for (auto& w : pi) w = rng();
-    for (auto _ : state) benchmark::DoNotOptimize(sim.run_words(pi, kWords));
+    for (auto _ : state) benchmark::DoNotOptimize(sim.run(pi, kWords));
     state.SetItemsProcessed(state.iterations() * 64 * kWords);
 }
 BENCHMARK(BM_MultiWordSimulation);
@@ -103,17 +103,15 @@ void BM_FrontierSweepSingle(benchmark::State& state) {
     const auto prot = camo::apply_camouflage(nl, sel, camo::gshe16(), 1);
     const netlist::Simulator sim(prot.netlist);
     Rng rng(6);
-    std::vector<bool> pattern(prot.netlist.inputs().size());
-    for (std::size_t i = 0; i < pattern.size(); ++i)
-        pattern[i] = (rng() & 1) != 0;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(sim.run_frontier_single(pattern));
+    std::vector<std::uint64_t> pi(prot.netlist.inputs().size());
+    for (auto& w : pi) w = rng() & 1;
+    for (auto _ : state) benchmark::DoNotOptimize(sim.sweep_frontier(pi));
 }
 BENCHMARK(BM_FrontierSweepSingle);
 
 void BM_FrontierSweepWords(benchmark::State& state) {
-    // The batched agreement path: one cone-restricted run_frontier_words(16)
-    // serving up to 1024 queued DIP lanes.
+    // The batched agreement path: one 16-word sweep_frontier serving up to
+    // 1024 queued DIP lanes.
     const auto nl = netlist::build_benchmark("c7552");
     const auto sel = camo::select_gates(nl, 0.10, 1);
     const auto prot = camo::apply_camouflage(nl, sel, camo::gshe16(), 1);
@@ -123,7 +121,7 @@ void BM_FrontierSweepWords(benchmark::State& state) {
     std::vector<std::uint64_t> pi(prot.netlist.inputs().size() * kWords);
     for (auto& w : pi) w = rng();
     for (auto _ : state)
-        benchmark::DoNotOptimize(sim.run_frontier_words(pi, kWords));
+        benchmark::DoNotOptimize(sim.sweep_frontier(pi, kWords));
     state.SetItemsProcessed(state.iterations() * 64 * kWords);
 }
 BENCHMARK(BM_FrontierSweepWords);

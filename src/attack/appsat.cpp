@@ -15,13 +15,8 @@ AttackResult appsat_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
                            const AppSatOptions& options) {
     Timer timer;
     const AttackOptions& base = options.base;
+    if (camo_nl.camo_cells().empty()) return detail::uncamouflaged_result(timer);
     AttackResult res;
-    if (camo_nl.camo_cells().empty()) {
-        res.status = AttackResult::Status::Success;
-        res.key_error_rate = 0.0;
-        res.key_exact = true;
-        return res;
-    }
 
     sat::Solver solver(base.solver);
     sat::CircuitEncoder encoder(solver);
@@ -38,7 +33,7 @@ AttackResult appsat_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
 
     auto record = [&](std::vector<bool> x, std::vector<bool> y) {
         if (!history.add(x, y)) return;  // exact duplicate: CNF already holds
-        encoder.add_agreement_pair(camo_nl, enc1.keys, enc2.keys, x, y);
+        encoder.add_agreements(camo_nl, {enc1.keys, enc2.keys}, {x}, {y});
     };
 
     while (true) {
@@ -105,7 +100,7 @@ AttackResult appsat_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
                 }
                 truths.push_back(oracle.query(pi));
             }
-            const auto guesses = sim.run_words_with_functions(pis, chunk, *fns);
+            const auto guesses = sim.run(pis, chunk, {.overrides = *fns});
             for (std::size_t w = 0; w < chunk; ++w) {
                 const auto& truth = truths[w];
                 std::uint64_t diff = 0;
@@ -134,9 +129,9 @@ AttackResult appsat_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
             res.key = *candidate;
             break;
         }
-        // Reinforce with every queued wrong pattern in one batched encode:
-        // the CNF encoder's simulation sweeps run packed (64 patterns a
-        // sweep) instead of single-lane per pattern. Duplicates already in
+        // Reinforce with every queued wrong pattern in one add_agreements
+        // call, whose simulation sweeps run packed (up to 1024 patterns a
+        // sweep) instead of one sweep per pattern. Duplicates already in
         // the history are dropped first; the clause stream matches the
         // per-pattern record calls exactly.
         std::vector<std::vector<bool>> fresh_inputs;
@@ -146,8 +141,8 @@ AttackResult appsat_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
             fresh_inputs.push_back(std::move(wrong_inputs[i]));
             fresh_outputs.push_back(std::move(wrong_outputs[i]));
         }
-        encoder.add_agreement_batch(camo_nl, {enc1.keys, enc2.keys},
-                                    fresh_inputs, fresh_outputs);
+        encoder.add_agreements(camo_nl, {enc1.keys, enc2.keys}, fresh_inputs,
+                               fresh_outputs);
     }
 
     res.solver_stats = solver.stats();

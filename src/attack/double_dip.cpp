@@ -11,14 +11,7 @@ using detail::History;
 AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
                                const AttackOptions& options) {
     Timer timer;
-    AttackResult res;
-    if (camo_nl.camo_cells().empty()) {
-        res.status = AttackResult::Status::Success;
-        res.seconds = timer.seconds();
-        res.key_error_rate = 0.0;
-        res.key_exact = true;
-        return res;
-    }
+    if (camo_nl.camo_cells().empty()) return detail::uncamouflaged_result(timer);
 
     // Phase 1: 2-DIP miter. Four circuit copies share the inputs; pairs
     // (k1,k2) and (k3,k4) each disagree; all cross pairs are distinct keys.
@@ -35,54 +28,52 @@ AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
     encoder.add_difference(enc2.keys, enc3.keys);
     encoder.add_difference(enc2.keys, enc4.keys);
 
+    AttackResult res;
     History history;
+    bool two_dips_exhausted = false;
     while (true) {
         if (res.iterations >= options.max_iterations) {
             res.status = AttackResult::Status::IterationCap;
-            res.solver_stats = solver.stats();
-            sat::accumulate(res.encoder_stats, encoder.stats());
-            detail::finalize_result(res, camo_nl, oracle, options, timer);
-            return res;
+            break;
         }
         if (options.timeout_seconds - timer.seconds() <= 0.0) {
             res.status = AttackResult::Status::TimedOut;
-            res.solver_stats = solver.stats();
-            sat::accumulate(res.encoder_stats, encoder.stats());
-            detail::finalize_result(res, camo_nl, oracle, options, timer);
-            return res;
+            break;
         }
         detail::set_remaining_budget(solver, options, timer);
 
         const auto r = solver.solve();
         if (r == sat::SolveResult::Unknown) {
             res.status = AttackResult::Status::TimedOut;
-            res.solver_stats = solver.stats();
-            sat::accumulate(res.encoder_stats, encoder.stats());
-            detail::finalize_result(res, camo_nl, oracle, options, timer);
-            return res;
+            break;
         }
-        if (r == sat::SolveResult::Unsat) break;  // no 2-DIP remains
+        if (r == sat::SolveResult::Unsat) {  // no 2-DIP remains
+            two_dips_exhausted = true;
+            break;
+        }
 
         ++res.iterations;
         std::vector<bool> dip = detail::model_values(solver, enc1.pis);
         std::vector<bool> response = oracle.query_single(dip);
-        // Two pair agreements instead of four singles: the CNF encoder
-        // simulates the DIP once per pair, with an unchanged clause stream.
-        encoder.add_agreement_pair(camo_nl, enc1.keys, enc2.keys, dip,
-                                   response);
-        encoder.add_agreement_pair(camo_nl, enc3.keys, enc4.keys, dip,
-                                   response);
+        // One call pins all four key copies, sharing one simulation sweep.
+        encoder.add_agreements(camo_nl,
+                               {enc1.keys, enc2.keys, enc3.keys, enc4.keys},
+                               {dip}, {response});
         history.add(std::move(dip), std::move(response));
     }
 
-    // Phase 2: fewer than two eliminable keys remain; the standard
-    // single-DIP loop finishes the job, seeded with the phase-1
-    // observations.
-    AttackResult final_res = detail::run_single_dip_loop(
-        camo_nl, oracle, options, timer, history, res.iterations);
-    sat::accumulate(final_res.encoder_stats, encoder.stats());
-    detail::finalize_result(final_res, camo_nl, oracle, options, timer);
-    return final_res;
+    if (two_dips_exhausted) {
+        // Phase 2: fewer than two eliminable keys remain; the standard
+        // single-DIP loop finishes the job, seeded with the phase-1
+        // observations. It reports its own solver's counters.
+        res = detail::run_single_dip_loop(camo_nl, oracle, options, timer,
+                                          history, res.iterations);
+    } else {
+        res.solver_stats = solver.stats();
+    }
+    sat::accumulate(res.encoder_stats, encoder.stats());
+    detail::finalize_result(res, camo_nl, oracle, options, timer);
+    return res;
 }
 
 }  // namespace gshe::attack

@@ -4,6 +4,15 @@
 
 namespace gshe::attack::detail {
 
+AttackResult uncamouflaged_result(const Timer& timer) {
+    AttackResult res;
+    res.status = AttackResult::Status::Success;
+    res.seconds = timer.seconds();
+    res.key_error_rate = 0.0;
+    res.key_exact = true;
+    return res;
+}
+
 void set_remaining_budget(sat::SolverBackend& solver,
                           const AttackOptions& options, const Timer& timer) {
     solver.set_budget(options.timeout_seconds - timer.seconds(),
@@ -74,8 +83,8 @@ AttackResult run_single_dip_loop(const netlist::Netlist& camo_nl,
     // assumes {~guard}.
     const sat::Lit guard(solver.new_var(), false);
     encoder.add_difference(enc1.outs, enc2.outs, guard);
-    encoder.add_agreement_batch(camo_nl, {enc1.keys, enc2.keys},
-                                history.inputs, history.outputs);
+    encoder.add_agreements(camo_nl, {enc1.keys, enc2.keys}, history.inputs,
+                           history.outputs);
 
     while (true) {
         if (res.iterations >= options.max_iterations) {
@@ -103,8 +112,8 @@ AttackResult run_single_dip_loop(const netlist::Netlist& camo_nl,
         ++res.iterations;
         std::vector<bool> dip = model_values(solver, enc1.pis);
         std::vector<bool> response = oracle.query_single(dip);
-        encoder.add_agreement_pair(camo_nl, enc1.keys, enc2.keys, dip,
-                                   response);
+        encoder.add_agreements(camo_nl, {enc1.keys, enc2.keys}, {dip},
+                               {response});
         history.add(std::move(dip), std::move(response));
     }
 

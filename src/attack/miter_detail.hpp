@@ -48,6 +48,11 @@ struct History {
     }
 };
 
+/// The result of attacking a netlist with nothing camouflaged: the empty
+/// key is exact, found without solving or querying the oracle. Every
+/// attack returns it before building a miter.
+AttackResult uncamouflaged_result(const Timer& timer);
+
 /// The per-solve budget every attack applies: the wall-clock remainder of
 /// the attack's timeout plus the deterministic conflict cap. This is the
 /// single point where AttackOptions turns into a sat::SolverBudget — the

@@ -88,7 +88,7 @@ std::vector<std::uint64_t> StochasticOracle::evaluate(
             if (rng_.bernoulli(err)) m |= std::uint64_t{1} << b;
         masks[d] = m;
     }
-    return simulator().run_noisy(pi_words, masks);
+    return simulator().run(pi_words, 1, {.flip_masks = masks});
 }
 
 }  // namespace gshe::attack

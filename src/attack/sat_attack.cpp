@@ -49,8 +49,8 @@ double key_error_rate(const netlist::Netlist& camo_nl, const camo::Key& key,
         pi.assign(n_pis * chunk, 0);
         for (std::size_t w = 0; w < chunk; ++w)
             for (std::size_t i = 0; i < n_pis; ++i) pi[i * chunk + w] = rng();
-        const auto truth = sim.run_words(pi, chunk);
-        const auto guess = sim.run_words_with_functions(pi, chunk, *fns);
+        const auto truth = sim.run(pi, chunk);
+        const auto guess = sim.run(pi, chunk, {.overrides = *fns});
         for (std::size_t w = 0; w < chunk; ++w) {
             std::uint64_t diff = 0;
             for (std::size_t o = 0; o < n_outs; ++o)
@@ -73,15 +73,7 @@ AttackResult sat_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
                         const AttackOptions& options) {
     Timer timer;
 
-    // Trivial case: nothing is camouflaged.
-    if (camo_nl.camo_cells().empty()) {
-        AttackResult res;
-        res.status = AttackResult::Status::Success;
-        res.seconds = timer.seconds();
-        res.key_error_rate = 0.0;
-        res.key_exact = true;
-        return res;
-    }
+    if (camo_nl.camo_cells().empty()) return detail::uncamouflaged_result(timer);
 
     History history;
     AttackResult res = detail::run_single_dip_loop(camo_nl, oracle, options,

@@ -42,7 +42,7 @@ std::vector<std::uint64_t> RekeyingOracle::evaluate(
     // (maybe_advance_epoch is idempotent until the clock ticks below).
     maybe_advance_epoch();
     ++queries_in_epoch_;
-    return simulator().run_with_functions(pi_words, current_fns_);
+    return simulator().run(pi_words, 1, {.overrides = current_fns_});
 }
 
 }  // namespace gshe::camo

@@ -61,7 +61,7 @@ SimPlan build_sim_plan(const Netlist& nl);
 
 /// The CNF encoder's per-DIP read set: every non-cone fanin of a
 /// key-cone gate plus every non-cone primary-output driver — exactly the
-/// gates CircuitEncoder::add_agreement reads as simulated constants. Sorted
+/// gates CircuitEncoder::add_agreements reads as simulated constants. Sorted
 /// ascending; includes non-Logic gates (inputs/constants) whose slots are
 /// seeded rather than computed.
 std::vector<GateId> frontier_read_set(const Netlist& nl);

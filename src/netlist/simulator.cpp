@@ -2,251 +2,152 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 #include "netlist/sim_plan.hpp"
 
 namespace gshe::netlist {
 
-void Simulator::sweep(const SimPlan& plan, std::size_t n_words,
-                      std::span<const std::uint64_t> pi_words,
-                      std::span<const core::Bool2> overrides,
-                      std::span<const std::uint64_t> dff_words,
-                      std::span<const std::uint64_t> flip_masks) const {
+void Simulator::check(std::span<const std::uint64_t> pi_words,
+                      std::size_t n_words, const SimView& view) const {
     const Netlist& nl = *nl_;
     if (n_words == 0)
         throw std::invalid_argument("Simulator: n_words must be positive");
     if (pi_words.size() != nl.inputs().size() * n_words)
         throw std::invalid_argument("Simulator: wrong primary-input count");
-    if (!dff_words.empty() && dff_words.size() != nl.dffs().size() * n_words)
+    if (!view.dff_words.empty() &&
+        view.dff_words.size() != nl.dffs().size() * n_words)
         throw std::invalid_argument("Simulator: wrong DFF state count");
+    if (!view.overrides.empty() &&
+        view.overrides.size() != nl.camo_cells().size())
+        throw std::invalid_argument(
+            "Simulator: one override per camouflaged cell required");
+    if (!view.flip_masks.empty() &&
+        view.flip_masks.size() != nl.camo_cells().size() * n_words)
+        throw std::invalid_argument(
+            "Simulator: one flip mask per camouflaged cell and word required");
+}
 
+std::span<const std::uint64_t> Simulator::execute(
+    const SimPlan& plan, std::span<const std::uint64_t> pi_words,
+    std::size_t n_words, const SimView& view) const {
+    const Netlist& nl = *nl_;
     values_.assign(plan.value_slots * n_words, 0);
     std::uint64_t* v = values_.data();
     const std::vector<GateId>& inputs = nl.inputs();
     for (std::size_t i = 0; i < inputs.size(); ++i)
         std::copy_n(pi_words.data() + i * n_words, n_words,
                     v + std::size_t{inputs[i]} * n_words);
-    if (!dff_words.empty()) {
+    if (!view.dff_words.empty()) {
         const std::vector<GateId>& dffs = nl.dffs();
         for (std::size_t i = 0; i < dffs.size(); ++i)
-            std::copy_n(dff_words.data() + i * n_words, n_words,
+            std::copy_n(view.dff_words.data() + i * n_words, n_words,
                         v + std::size_t{dffs[i]} * n_words);
     }
     for (const GateId id : plan.const_ones)
         std::fill_n(v + std::size_t{id} * n_words, n_words, ~std::uint64_t{0});
 
     const std::uint8_t* tt = plan.tt.data();
-    if (!overrides.empty()) {
+    if (!view.overrides.empty()) {
         tt_scratch_.assign(plan.tt.begin(), plan.tt.end());
-        for (std::size_t k = 0; k < overrides.size(); ++k) {
+        for (std::size_t k = 0; k < view.overrides.size(); ++k) {
             const std::uint32_t s = plan.camo_step[k];
-            if (s != SimPlan::kNoStep) tt_scratch_[s] = overrides[k].truth_table();
+            if (s != SimPlan::kNoStep)
+                tt_scratch_[s] = view.overrides[k].truth_table();
         }
         tt = tt_scratch_.data();
     }
 
-    const std::size_t steps = plan.steps();
     const GateId* out = plan.out.data();
     const std::uint32_t* fa = plan.a.data();
     const std::uint32_t* fb = plan.b.data();
-
-    if (n_words == 1) {
-        if (flip_masks.empty()) {
-            for (std::size_t s = 0; s < steps; ++s) {
-                const std::uint8_t t = tt[s];
-                const std::uint64_t t0 = -static_cast<std::uint64_t>(t & 1u);
-                const std::uint64_t t1 = -static_cast<std::uint64_t>((t >> 1) & 1u);
-                const std::uint64_t t2 = -static_cast<std::uint64_t>((t >> 2) & 1u);
-                const std::uint64_t t3 = -static_cast<std::uint64_t>((t >> 3) & 1u);
-                const std::uint64_t a = v[fa[s]];
-                const std::uint64_t b = v[fb[s]];
-                v[out[s]] = (t0 & ~a & ~b) | (t1 & ~a & b) | (t2 & a & ~b) |
-                            (t3 & a & b);
-            }
-        } else {
-            // Flips must land at the producing step so downstream consumers
-            // see the corrupted word: walk a sorted (step, mask) list.
-            flip_steps_.clear();
-            for (std::size_t k = 0; k < flip_masks.size(); ++k) {
-                const std::uint32_t s = plan.camo_step[k];
-                if (s != SimPlan::kNoStep && flip_masks[k] != 0)
-                    flip_steps_.emplace_back(s, flip_masks[k]);
-            }
-            std::sort(flip_steps_.begin(), flip_steps_.end());
-            std::size_t cursor = 0;
-            for (std::size_t s = 0; s < steps; ++s) {
-                const std::uint8_t t = tt[s];
-                const std::uint64_t t0 = -static_cast<std::uint64_t>(t & 1u);
-                const std::uint64_t t1 = -static_cast<std::uint64_t>((t >> 1) & 1u);
-                const std::uint64_t t2 = -static_cast<std::uint64_t>((t >> 2) & 1u);
-                const std::uint64_t t3 = -static_cast<std::uint64_t>((t >> 3) & 1u);
-                const std::uint64_t a = v[fa[s]];
-                const std::uint64_t b = v[fb[s]];
-                std::uint64_t r = (t0 & ~a & ~b) | (t1 & ~a & b) |
-                                  (t2 & a & ~b) | (t3 & a & b);
-                if (cursor < flip_steps_.size() && flip_steps_[cursor].first == s) {
-                    r ^= flip_steps_[cursor].second;
-                    ++cursor;
-                }
-                v[out[s]] = r;
-            }
-        }
-    } else {
-        if (!flip_masks.empty())
-            throw std::invalid_argument(
-                "Simulator: flip masks require single-word sweeps");
-        for (std::size_t s = 0; s < steps; ++s) {
+    // The one step body. `nw` is the word count: a compile-time 1 for
+    // single-word sweeps, so their inner loop folds away.
+    const auto run_steps = [&](auto nw, std::size_t begin, std::size_t end) {
+        for (std::size_t s = begin; s < end; ++s) {
             const std::uint8_t t = tt[s];
             const std::uint64_t t0 = -static_cast<std::uint64_t>(t & 1u);
             const std::uint64_t t1 = -static_cast<std::uint64_t>((t >> 1) & 1u);
             const std::uint64_t t2 = -static_cast<std::uint64_t>((t >> 2) & 1u);
             const std::uint64_t t3 = -static_cast<std::uint64_t>((t >> 3) & 1u);
-            const std::uint64_t* pa = v + std::size_t{fa[s]} * n_words;
-            const std::uint64_t* pb = v + std::size_t{fb[s]} * n_words;
-            std::uint64_t* po = v + std::size_t{out[s]} * n_words;
-            for (std::size_t w = 0; w < n_words; ++w) {
+            const std::uint64_t* pa = v + std::size_t{fa[s]} * nw;
+            const std::uint64_t* pb = v + std::size_t{fb[s]} * nw;
+            std::uint64_t* po = v + std::size_t{out[s]} * nw;
+            for (std::size_t w = 0; w < nw; ++w) {
                 const std::uint64_t a = pa[w];
                 const std::uint64_t b = pb[w];
                 po[w] = (t0 & ~a & ~b) | (t1 & ~a & b) | (t2 & a & ~b) |
                         (t3 & a & b);
             }
         }
+    };
+    const auto run_segment = [&](std::size_t begin, std::size_t end) {
+        if (n_words == 1)
+            run_steps(std::integral_constant<std::size_t, 1>{}, begin, end);
+        else
+            run_steps(n_words, begin, end);
+    };
+
+    // Flips must land at the producing step so downstream consumers see the
+    // corrupted word: run the steps in segments that end at each camo step,
+    // in step order, and flip that step's words between segments.
+    std::size_t next = 0;
+    if (!view.flip_masks.empty()) {
+        std::vector<std::uint32_t> cells;
+        for (std::uint32_t k = 0; k < plan.camo_step.size(); ++k)
+            if (plan.camo_step[k] != SimPlan::kNoStep) cells.push_back(k);
+        std::sort(cells.begin(), cells.end(),
+                  [&](std::uint32_t x, std::uint32_t y) {
+                      return plan.camo_step[x] < plan.camo_step[y];
+                  });
+        for (const std::uint32_t k : cells) {
+            const std::uint32_t s = plan.camo_step[k];
+            run_segment(next, s + std::size_t{1});
+            std::uint64_t* po = v + std::size_t{out[s]} * n_words;
+            for (std::size_t w = 0; w < n_words; ++w)
+                po[w] ^= view.flip_masks[k * n_words + w];
+            next = s + std::size_t{1};
+        }
     }
+    run_segment(next, plan.steps());
+    return {values_.data(), nl.size() * n_words};
 }
 
-std::vector<std::uint64_t> Simulator::gather_outputs(std::size_t n_words) const {
-    const Netlist& nl = *nl_;
-    std::vector<std::uint64_t> out(nl.outputs().size() * n_words);
-    for (std::size_t o = 0; o < nl.outputs().size(); ++o)
-        std::copy_n(values_.data() + std::size_t{nl.outputs()[o].gate} * n_words,
+std::span<const std::uint64_t> Simulator::sweep(
+    std::span<const std::uint64_t> pi_words, std::size_t n_words,
+    const SimView& view) const {
+    check(pi_words, n_words, view);
+    return execute(nl_->sim_plan(), pi_words, n_words, view);
+}
+
+std::vector<std::uint64_t> Simulator::run(std::span<const std::uint64_t> pi_words,
+                                          std::size_t n_words,
+                                          const SimView& view) const {
+    const std::span<const std::uint64_t> values = sweep(pi_words, n_words, view);
+    const std::vector<PortRef>& outputs = nl_->outputs();
+    std::vector<std::uint64_t> out(outputs.size() * n_words);
+    for (std::size_t o = 0; o < outputs.size(); ++o)
+        std::copy_n(values.data() + std::size_t{outputs[o].gate} * n_words,
                     n_words, out.data() + o * n_words);
     return out;
 }
 
-std::span<const std::uint64_t> Simulator::pack_single(
-    const std::vector<bool>& pi) const {
-    word_scratch_.resize(pi.size());
-    for (std::size_t i = 0; i < pi.size(); ++i)
-        word_scratch_[i] = pi[i] ? ~std::uint64_t{0} : 0;
-    return word_scratch_;
-}
-
-std::vector<std::uint64_t> Simulator::run(
-    std::span<const std::uint64_t> pi_words,
-    std::span<const std::uint64_t> dff_words) const {
-    sweep(nl_->sim_plan(), 1, pi_words, {}, dff_words, {});
-    return gather_outputs(1);
-}
-
-std::vector<std::uint64_t> Simulator::run_with_functions(
-    std::span<const std::uint64_t> pi_words,
-    std::span<const core::Bool2> overrides,
-    std::span<const std::uint64_t> dff_words) const {
-    if (overrides.size() != nl_->camo_cells().size())
-        throw std::invalid_argument(
-            "Simulator: one override per camouflaged cell required");
-    sweep(nl_->sim_plan(), 1, pi_words, overrides, dff_words, {});
-    return gather_outputs(1);
-}
-
-std::vector<std::uint64_t> Simulator::run_noisy(
-    std::span<const std::uint64_t> pi_words,
-    std::span<const std::uint64_t> flip_masks,
-    std::span<const std::uint64_t> dff_words) const {
-    if (flip_masks.size() != nl_->camo_cells().size())
-        throw std::invalid_argument(
-            "Simulator: one flip mask per camouflaged cell required");
-    sweep(nl_->sim_plan(), 1, pi_words, {}, dff_words, flip_masks);
-    return gather_outputs(1);
-}
-
-std::vector<std::uint64_t> Simulator::run_words(
-    std::span<const std::uint64_t> pi_words, std::size_t n_words,
-    std::span<const std::uint64_t> dff_words) const {
-    sweep(nl_->sim_plan(), n_words, pi_words, {}, dff_words, {});
-    return gather_outputs(n_words);
-}
-
-std::vector<std::uint64_t> Simulator::run_words_with_functions(
-    std::span<const std::uint64_t> pi_words, std::size_t n_words,
-    std::span<const core::Bool2> overrides,
-    std::span<const std::uint64_t> dff_words) const {
-    if (overrides.size() != nl_->camo_cells().size())
-        throw std::invalid_argument(
-            "Simulator: one override per camouflaged cell required");
-    sweep(nl_->sim_plan(), n_words, pi_words, overrides, dff_words, {});
-    return gather_outputs(n_words);
-}
-
-std::vector<bool> Simulator::run_single(const std::vector<bool>& pi) const {
-    sweep(nl_->sim_plan(), 1, pack_single(pi), {}, {}, {});
-    const std::vector<PortRef>& outputs = nl_->outputs();
-    std::vector<bool> out(outputs.size());
-    for (std::size_t o = 0; o < outputs.size(); ++o)
-        out[o] = (values_[outputs[o].gate] & 1) != 0;
-    return out;
-}
-
-std::span<const char> Simulator::run_single_all_span(
-    const std::vector<bool>& pi) const {
-    sweep(nl_->sim_plan(), 1, pack_single(pi), {}, {}, {});
-    const std::size_t n = nl_->size();
-    bit_scratch_.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        bit_scratch_[i] = (values_[i] & 1) != 0 ? 1 : 0;
-    return bit_scratch_;
-}
-
-std::vector<char> Simulator::run_single_all(const std::vector<bool>& pi) const {
-    const std::span<const char> bits = run_single_all_span(pi);
-    return {bits.begin(), bits.end()};
-}
-
-std::vector<std::uint64_t> Simulator::run_all(
-    std::span<const std::uint64_t> pi_words) const {
-    sweep(nl_->sim_plan(), 1, pi_words, {}, {}, {});
-    return {values_.begin(), values_.begin() + static_cast<std::ptrdiff_t>(nl_->size())};
-}
-
-std::span<const std::uint64_t> Simulator::run_all_span(
-    std::span<const std::uint64_t> pi_words) const {
-    sweep(nl_->sim_plan(), 1, pi_words, {}, {}, {});
-    return {values_.data(), nl_->size()};
-}
-
-std::span<const char> Simulator::run_frontier_single(
-    const std::vector<bool>& pi) const {
-    sweep(nl_->frontier_plan(), 1, pack_single(pi), {}, {}, {});
-    // Unpack only the read set: everything else is stale by contract.
-    bit_scratch_.resize(nl_->size());
-    for (const GateId g : nl_->frontier_read_set())
-        bit_scratch_[g] = (values_[g] & 1) != 0 ? 1 : 0;
-    return bit_scratch_;
-}
-
-std::span<const std::uint64_t> Simulator::run_frontier_words(
+std::span<const std::uint64_t> Simulator::sweep_frontier(
     std::span<const std::uint64_t> pi_words, std::size_t n_words) const {
-    sweep(nl_->frontier_plan(), n_words, pi_words, {}, {}, {});
-    return {values_.data(), nl_->size() * n_words};
+    check(pi_words, n_words, {});
+    return execute(nl_->frontier_plan(), pi_words, n_words, {});
 }
 
 std::vector<std::uint64_t> Simulator::run_reference(
-    std::span<const std::uint64_t> pi_words,
-    std::span<const core::Bool2> overrides,
-    std::span<const std::uint64_t> dff_words,
-    std::span<const std::uint64_t> flip_masks) const {
+    std::span<const std::uint64_t> pi_words, const SimView& view) const {
+    check(pi_words, 1, view);
     const Netlist& nl = *nl_;
-    if (pi_words.size() != nl.inputs().size())
-        throw std::invalid_argument("Simulator: wrong primary-input count");
-    if (!dff_words.empty() && dff_words.size() != nl.dffs().size())
-        throw std::invalid_argument("Simulator: wrong DFF state count");
 
     std::vector<std::uint64_t> values(nl.size(), 0);
     for (std::size_t i = 0; i < pi_words.size(); ++i)
         values[nl.inputs()[i]] = pi_words[i];
-    if (!dff_words.empty())
-        for (std::size_t i = 0; i < dff_words.size(); ++i)
-            values[nl.dffs()[i]] = dff_words[i];
+    for (std::size_t i = 0; i < view.dff_words.size(); ++i)
+        values[nl.dffs()[i]] = view.dff_words[i];
 
     for (GateId id : nl.topological_order()) {
         const Gate& g = nl.gate(id);
@@ -261,15 +162,16 @@ std::vector<std::uint64_t> Simulator::run_reference(
                 values[id] = ~std::uint64_t{0};
                 break;
             case CellType::Logic: {
+                const auto k = static_cast<std::size_t>(g.camo_index);
                 const core::Bool2 fn =
-                    (!overrides.empty() && g.camo_index >= 0)
-                        ? overrides[static_cast<std::size_t>(g.camo_index)]
+                    (!view.overrides.empty() && g.camo_index >= 0)
+                        ? view.overrides[k]
                         : g.fn;
                 const std::uint64_t a = values[g.a];
                 const std::uint64_t b = g.b == kNoGate ? 0 : values[g.b];
                 std::uint64_t v = Simulator::eval_word(fn, a, b);
-                if (!flip_masks.empty() && g.camo_index >= 0)
-                    v ^= flip_masks[static_cast<std::size_t>(g.camo_index)];
+                if (!view.flip_masks.empty() && g.camo_index >= 0)
+                    v ^= view.flip_masks[k];
                 values[id] = v;
                 break;
             }

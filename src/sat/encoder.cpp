@@ -67,17 +67,6 @@ void accumulate(EncoderStats& into, const EncoderStats& from) {
 
 CircuitEncoder::CircuitEncoder(SolverBackend& solver) : solver_(solver) {}
 
-CircuitEncoder::~CircuitEncoder() = default;
-
-const netlist::Simulator& CircuitEncoder::sim_for(
-    const netlist::Netlist& nl) const {
-    if (sim_nl_ != &nl) {
-        sim_ = std::make_unique<netlist::Simulator>(nl);
-        sim_nl_ = &nl;
-    }
-    return *sim_;
-}
-
 Lit CircuitEncoder::constant(bool value) {
     if (const_var_ == kNoVar) {
         const_var_ = solver_.new_var();
@@ -322,59 +311,26 @@ Encoding CircuitEncoder::encode(const netlist::Netlist& nl,
     return enc;
 }
 
-void CircuitEncoder::add_agreement(const netlist::Netlist& nl,
-                                   const std::vector<Var>& keys,
-                                   const std::vector<bool>& x,
-                                   const std::vector<bool>& y) {
-    const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
-    const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
-
-    // Cone-restricted sweep: only the steps feeding the key-cone frontier
-    // and the primary outputs run, which is exactly the set the cone
-    // encoding reads.
-    add_agreement(nl, keys, x, y, sim_for(nl).run_frontier_single(x));
-
-    const auto dv = static_cast<std::uint64_t>(solver_.num_vars()) - v0;
-    const auto dc = static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
-    stats_.vars += dv;
-    stats_.clauses += dc;
-    stats_.agreement_vars += dv;
-    stats_.agreement_clauses += dc;
-    ++stats_.agreements;
-}
-
-void CircuitEncoder::add_agreement_pair(const netlist::Netlist& nl,
-                                        const std::vector<Var>& keys1,
-                                        const std::vector<Var>& keys2,
-                                        const std::vector<bool>& x,
-                                        const std::vector<bool>& y) {
-    const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
-    const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
-
-    const std::span<const char> values = sim_for(nl).run_frontier_single(x);
-    add_agreement(nl, keys1, x, y, values);
-    add_agreement(nl, keys2, x, y, values);
-
-    const auto dv = static_cast<std::uint64_t>(solver_.num_vars()) - v0;
-    const auto dc = static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
-    stats_.vars += dv;
-    stats_.clauses += dc;
-    stats_.agreement_vars += dv;
-    stats_.agreement_clauses += dc;
-    stats_.agreements += 2;
-}
-
-void CircuitEncoder::add_agreement_batch(
+void CircuitEncoder::add_agreements(
     const netlist::Netlist& nl, const std::vector<std::vector<Var>>& keys_list,
     const std::vector<std::vector<bool>>& xs,
     const std::vector<std::vector<bool>>& ys) {
     if (xs.size() != ys.size())
-        throw std::invalid_argument("CircuitEncoder: batch size mismatch");
+        throw std::invalid_argument("CircuitEncoder: agreement batch size mismatch");
     const std::size_t n_pis = nl.inputs().size();
-    const netlist::Simulator& sim = sim_for(nl);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        if (xs[i].size() != n_pis)
+            throw std::invalid_argument(
+                "CircuitEncoder: agreement input size mismatch");
+        if (ys[i].size() != nl.outputs().size())
+            throw std::invalid_argument(
+                "CircuitEncoder: agreement output size mismatch");
+    }
+    const netlist::Simulator sim(nl);
     const std::vector<GateId>& reads = nl.frontier_read_set();
-    // Multi-word cone-restricted sweeps: up to kSweepWords x 64 queued
-    // patterns share one pass over the frontier sub-plan.
+    // Multi-word cone-restricted sweeps: up to kSweepWords x 64
+    // observations share one pass over the frontier sub-plan, which runs
+    // only the steps feeding the reads of the cone encoding.
     constexpr std::size_t kSweepWords = 16;
     std::vector<std::uint64_t> pi_words;
     std::vector<char> values(nl.size(), 0);
@@ -385,10 +341,10 @@ void CircuitEncoder::add_agreement_batch(
         pi_words.assign(n_pis * n_words, 0);
         for (std::size_t i = 0; i < n_pis; ++i)
             for (std::size_t j = 0; j < lanes; ++j)
-                if (xs[base + j].at(i))
+                if (xs[base + j][i])
                     pi_words[i * n_words + j / 64] |= std::uint64_t{1} << (j % 64);
         const std::span<const std::uint64_t> words =
-            sim.run_frontier_words(pi_words, n_words);
+            sim.sweep_frontier(pi_words, n_words);
         for (std::size_t j = 0; j < lanes; ++j) {
             const std::size_t w = j / 64;
             const std::size_t bit = j % 64;
@@ -398,7 +354,7 @@ void CircuitEncoder::add_agreement_batch(
             const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
             const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
             for (const std::vector<Var>& keys : keys_list)
-                add_agreement(nl, keys, xs[base + j], ys[base + j], values);
+                encode_agreement(nl, keys, ys[base + j], values);
             const auto dv = static_cast<std::uint64_t>(solver_.num_vars()) - v0;
             const auto dc =
                 static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
@@ -411,24 +367,19 @@ void CircuitEncoder::add_agreement_batch(
     }
 }
 
-void CircuitEncoder::add_agreement(const netlist::Netlist& nl,
-                                   const std::vector<Var>& keys,
-                                   const std::vector<bool>& x,
-                                   const std::vector<bool>& y,
-                                   std::span<const char> values) {
-    if (x.size() != nl.inputs().size())
-        throw std::invalid_argument("CircuitEncoder: agreement input size mismatch");
-    if (y.size() != nl.outputs().size())
-        throw std::invalid_argument("CircuitEncoder: agreement output size mismatch");
+void CircuitEncoder::encode_agreement(const netlist::Netlist& nl,
+                                      const std::vector<Var>& keys,
+                                      const std::vector<bool>& y,
+                                      std::span<const char> values) {
     int total_key_bits = 0;
     const std::vector<int> key_offset = camo_key_offsets(nl, &total_key_bits);
     if (keys.size() != static_cast<std::size_t>(total_key_bits))
         throw std::invalid_argument("CircuitEncoder: agreement key size mismatch");
 
     // The DIP is fixed, so everything outside the key cone is a known
-    // constant: `values` (one simulator sweep, possibly shared across key
-    // copies or a 64-lane batch) replaces those gates outright, and only
-    // the key-dependent remainder is encoded, reading simulated constants at
+    // constant: `values` (one lane of add_agreements' sweep, shared by
+    // every key vector) replaces those gates outright, and only the
+    // key-dependent remainder is encoded, reading simulated constants at
     // the cone frontier.
     const std::vector<char>& cone = nl.key_cone();
 

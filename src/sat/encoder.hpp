@@ -9,8 +9,8 @@
 //       the two miter copies and repeated agreement cones share
 //       subformulas instead of duplicating them (input-polarity/
 //       commutative/output-polarity normalization, AIG-style);
-//   (c) key-cone reduction in add_agreement — the DIP input is fixed, so
-//       the 64-way Simulator evaluates every gate outside
+//   (c) key-cone reduction in add_agreements — the DIP input is fixed,
+//       so the bit-parallel Simulator evaluates every gate outside
 //       Netlist::key_cone() and only the key-dependent remainder is
 //       encoded, with the simulated values injected as constants at the
 //       cone frontier. Each agreement drops from O(|circuit|) to
@@ -30,7 +30,6 @@
 // CSV-across-threads/shards/resume contract.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -40,10 +39,6 @@
 
 #include "netlist/netlist.hpp"
 #include "sat/backend.hpp"
-
-namespace gshe::netlist {
-class Simulator;  // netlist/simulator.hpp
-}
 
 namespace gshe::sat {
 
@@ -56,7 +51,7 @@ struct EncoderStats {
     std::uint64_t clauses = 0;  ///< clauses emitted by this encoder
     std::uint64_t gates_folded = 0;  ///< gates reduced to constants/aliases
     std::uint64_t hash_hits = 0;     ///< subformulas served from the hash
-    std::uint64_t agreements = 0;       ///< add_agreement calls
+    std::uint64_t agreements = 0;       ///< observations x key vectors added
     std::uint64_t agreement_vars = 0;    ///< vars from agreements alone
     std::uint64_t agreement_clauses = 0; ///< clauses from agreements alone
     std::uint64_t cone_gates = 0;  ///< cone gates encoded across agreements
@@ -85,7 +80,6 @@ struct Encoding {
 class CircuitEncoder {
 public:
     explicit CircuitEncoder(SolverBackend& solver);
-    ~CircuitEncoder();  // out-of-line: owns a unique_ptr<Simulator>
 
     const EncoderStats& stats() const { return stats_; }
 
@@ -98,36 +92,20 @@ public:
                     const std::vector<Var>& shared_pis = {},
                     const std::vector<Var>& shared_keys = {});
 
-    /// Adds the agreement constraint "the key selected by `keys` must map
-    /// input x to oracle response y": simulate outside the key cone,
-    /// encode only the cone with frontier constants; a non-cone output
-    /// that contradicts y falsifies the formula outright (the stochastic-
-    /// oracle inconsistency case).
-    void add_agreement(const netlist::Netlist& nl,
-                       const std::vector<Var>& keys,
-                       const std::vector<bool>& x,
-                       const std::vector<bool>& y);
-
-    /// Adds the agreement for BOTH miter key copies in one call, emitting
-    /// exactly the clause stream of add_agreement(keys1) followed by
-    /// add_agreement(keys2), but runs the non-cone simulation sweep once
-    /// per DIP instead of once per key copy.
-    void add_agreement_pair(const netlist::Netlist& nl,
-                            const std::vector<Var>& keys1,
-                            const std::vector<Var>& keys2,
-                            const std::vector<bool>& x,
-                            const std::vector<bool>& y);
-
-    /// Batched form: for each i, adds the agreement (xs[i], ys[i]) for every
-    /// key vector in `keys_list` (pattern-major, matching the sequential
-    /// call order), sharing one packed 64-lane Simulator sweep per chunk of
-    /// 64 patterns instead of one single-lane sweep per pattern x key copy.
-    /// The clause stream is identical to the equivalent sequence of
-    /// add_agreement calls.
-    void add_agreement_batch(const netlist::Netlist& nl,
-                             const std::vector<std::vector<Var>>& keys_list,
-                             const std::vector<std::vector<bool>>& xs,
-                             const std::vector<std::vector<bool>>& ys);
+    /// For each observation i and each key vector in `keys_list`, in that
+    /// (pattern-major) order, adds the agreement constraint "the key
+    /// selected by the vector must map input xs[i] to oracle response
+    /// ys[i]": simulate outside the key cone, encode only the cone with
+    /// frontier constants; a non-cone output that contradicts ys[i]
+    /// falsifies the formula outright (the stochastic-oracle inconsistency
+    /// case). Up to 16 x 64 observations share one cone-restricted
+    /// Simulator sweep; the clause stream is that of encoding each
+    /// (observation, key vector) pair in turn, however the observations
+    /// are split across calls.
+    void add_agreements(const netlist::Netlist& nl,
+                        const std::vector<std::vector<Var>>& keys_list,
+                        const std::vector<std::vector<bool>>& xs,
+                        const std::vector<std::vector<bool>>& ys);
 
     /// Constrains vectors a and b to differ in at least one position.
     void add_difference(const std::vector<Lit>& a, const std::vector<Lit>& b);
@@ -193,18 +171,14 @@ private:
     /// Falsifies the formula at the root (empty clause).
     void contradict();
 
-    /// The body of every public agreement form: encodes the key cone,
-    /// reading the simulated `values` outside it. Counts cone and simulated
-    /// gates; the callers count vars, clauses and agreements.
-    void add_agreement(const netlist::Netlist& nl,
-                       const std::vector<Var>& keys,
-                       const std::vector<bool>& x,
-                       const std::vector<bool>& y,
-                       std::span<const char> values);
-    /// Cached Simulator for the agreement sweeps: one instance per netlist
-    /// identity, so scratch buffers persist across DIPs instead of being
-    /// reallocated per call.
-    const netlist::Simulator& sim_for(const netlist::Netlist& nl) const;
+    /// One agreement of add_agreements: encodes the key cone under `keys`,
+    /// reading the simulated `values` (one per gate, valid at the frontier
+    /// read set) outside it. Counts cone and simulated gates; the caller
+    /// counts vars, clauses and agreements.
+    void encode_agreement(const netlist::Netlist& nl,
+                          const std::vector<Var>& keys,
+                          const std::vector<bool>& y,
+                          std::span<const char> values);
     void add_difference_impl(const std::vector<Lit>& a,
                              const std::vector<Lit>& b,
                              std::optional<Lit> guard);
@@ -216,9 +190,6 @@ private:
     std::unordered_map<std::string, std::int32_t> camo_hash_;
     std::unordered_set<std::string> forbidden_done_;
     Var const_var_ = kNoVar;
-
-    mutable const netlist::Netlist* sim_nl_ = nullptr;
-    mutable std::unique_ptr<netlist::Simulator> sim_;
 };
 
 }  // namespace gshe::sat

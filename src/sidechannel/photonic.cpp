@@ -61,29 +61,22 @@ std::vector<double> toggle_activity(const Netlist& locked,
         key_value[key_inputs[i]] = key.bits[i];
 
     Rng rng(seed ^ 0x9047ULL);
+    const netlist::Simulator sim(locked);
     std::vector<double> toggles(locked.size(), 0.0);
-    std::vector<std::uint64_t> value(locked.size(), 0);
+    std::vector<std::uint64_t> pi(locked.inputs().size());
     std::vector<std::uint64_t> prev_bit(locked.size(), 0);
     bool have_prev = false;
 
     const std::size_t words = (cycles + 63) / 64;
     for (std::size_t w = 0; w < words; ++w) {
         // Drive inputs: random stimulus, constant key lines.
-        for (GateId id : locked.inputs()) {
-            const auto it = key_value.find(id);
-            value[id] = it == key_value.end()
-                            ? rng()
-                            : (it->second ? ~std::uint64_t{0} : 0);
+        for (std::size_t i = 0; i < pi.size(); ++i) {
+            const auto it = key_value.find(locked.inputs()[i]);
+            pi[i] = it == key_value.end() ? rng()
+                                          : (it->second ? ~std::uint64_t{0} : 0);
         }
-        for (GateId id : locked.topological_order()) {
-            const Gate& g = locked.gate(id);
-            if (g.type == CellType::Const0) value[id] = 0;
-            if (g.type == CellType::Const1) value[id] = ~std::uint64_t{0};
-            if (g.type != CellType::Logic) continue;
-            const std::uint64_t a = value[g.a];
-            const std::uint64_t b = g.b == kNoGate ? 0 : value[g.b];
-            value[id] = netlist::Simulator::eval_word(g.fn, a, b);
-        }
+        // Every gate's word: true functions, DFF outputs at zero.
+        const std::span<const std::uint64_t> value = sim.sweep(pi);
         // Toggle counting: transitions inside the word plus the seam to the
         // previous word's last pattern.
         for (GateId id = 0; id < locked.size(); ++id) {

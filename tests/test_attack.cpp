@@ -133,13 +133,23 @@ INSTANTIATE_TEST_SUITE_P(AllLibraries, AttackEveryLibrary,
                              return camo::table4_libraries()[info.param].name;
                          });
 
-TEST(SatAttack, TrivialWithoutCamouflage) {
+TEST(AttackRegistry, EveryAttackIsExactWithoutCamouflage) {
+    // Nothing camouflaged: every attack returns the empty key as an exact
+    // success without solving or querying the oracle.
     const Netlist nl = small_circuit();
-    ExactOracle oracle(nl);
-    const AttackResult res = sat_attack(nl, oracle);
-    EXPECT_EQ(res.status, AttackResult::Status::Success);
-    EXPECT_EQ(res.iterations, 0u);
-    EXPECT_TRUE(res.key.bits.empty());
+    ASSERT_TRUE(nl.camo_cells().empty());
+    for (const std::string& name : attack_names()) {
+        ExactOracle oracle(nl);
+        const AttackResult res =
+            attack_by_name(name).run(nl, oracle, AttackOptions{});
+        EXPECT_EQ(res.status, AttackResult::Status::Success) << name;
+        EXPECT_TRUE(res.key_exact) << name;
+        EXPECT_EQ(res.key_error_rate, 0.0) << name;
+        EXPECT_TRUE(res.key.bits.empty()) << name;
+        EXPECT_EQ(res.iterations, 0u) << name;
+        EXPECT_EQ(res.oracle_patterns, 0u) << name;
+        EXPECT_EQ(oracle.patterns_queried(), 0u) << name;
+    }
 }
 
 TEST(SatAttack, TimeoutReported) {
@@ -295,7 +305,7 @@ std::set<std::vector<bool>> consistent_keys(const Netlist& camo_nl) {
                 if ((p >> i) & 1) pi[i * words + w] |= std::uint64_t{1} << lane;
         }
     const netlist::Simulator sim(camo_nl);
-    const std::vector<std::uint64_t> truth = sim.run_words(pi, words);
+    const std::vector<std::uint64_t> truth = sim.run(pi, words);
 
     const auto bits = static_cast<std::size_t>(camo_nl.key_bit_count());
     std::set<std::vector<bool>> keys;
@@ -303,7 +313,7 @@ std::set<std::vector<bool>> consistent_keys(const Netlist& camo_nl) {
         camo::Key key;
         for (std::size_t b = 0; b < bits; ++b) key.bits.push_back((code >> b) & 1);
         const auto fns = camo::functions_for_key(camo_nl, key);
-        if (fns && sim.run_words_with_functions(pi, words, *fns) == truth)
+        if (fns && sim.run(pi, words, {.overrides = *fns}) == truth)
             keys.insert(key.bits);
     }
     return keys;
@@ -367,10 +377,9 @@ TEST(Equivalence, DifferentCircuitsWithCounterexample) {
     ASSERT_EQ(res.status, EquivStatus::Different);
     ASSERT_TRUE(res.counterexample.has_value());
     // The counterexample really distinguishes them.
-    netlist::Simulator sa(a), sb(b);
-    const auto oa = sa.run_single(*res.counterexample);
-    const auto ob = sb.run_single(*res.counterexample);
-    EXPECT_NE(oa, ob);
+    ExactOracle oa(a), ob(b);
+    EXPECT_NE(oa.query_single(*res.counterexample),
+              ob.query_single(*res.counterexample));
 }
 
 TEST(Equivalence, KeyEquivalenceDetectsWrongKey) {

@@ -260,11 +260,12 @@ std::vector<bool> admitted_keys(sat::SolverBackend& s, const sat::Encoding& e) {
 std::vector<bool> consistent_keys(const Netlist& nl, std::size_t key_bits,
                                   const std::vector<std::vector<bool>>& xs,
                                   const std::vector<std::vector<bool>>& ys) {
-    // One 64-lane word per input: lane i holds observation i.
-    std::vector<std::uint64_t> pi(nl.inputs().size(), 0);
+    // Observation i is lane i % 64 of word i / 64.
+    const std::size_t words = std::max<std::size_t>(1, (xs.size() + 63) / 64);
+    std::vector<std::uint64_t> pi(nl.inputs().size() * words, 0);
     for (std::size_t i = 0; i < xs.size(); ++i)
-        for (std::size_t in = 0; in < pi.size(); ++in)
-            if (xs[i][in]) pi[in] |= std::uint64_t{1} << i;
+        for (std::size_t in = 0; in < nl.inputs().size(); ++in)
+            if (xs[i][in]) pi[in * words + i / 64] |= std::uint64_t{1} << (i % 64);
     const netlist::Simulator sim(nl);
     std::vector<bool> consistent(std::size_t{1} << key_bits);
     for (std::size_t code = 0; code < consistent.size(); ++code) {
@@ -274,25 +275,32 @@ std::vector<bool> consistent_keys(const Netlist& nl, std::size_t key_bits,
         const auto fns = camo::functions_for_key(nl, key);
         if (!fns) continue;
         const std::vector<std::uint64_t> out =
-            sim.run_words_with_functions(pi, 1, *fns);
+            sim.run(pi, words, {.overrides = *fns});
         bool all = true;
         for (std::size_t i = 0; i < xs.size() && all; ++i)
             for (std::size_t o = 0; o < ys[i].size() && all; ++o)
-                all = (((out[o] >> i) & 1) != 0) == ys[i][o];
+                all = (((out[o * words + i / 64] >> (i % 64)) & 1) != 0) ==
+                      ys[i][o];
         consistent[code] = all;
     }
     return consistent;
 }
 
-TEST(CompactEncoder, AgreementAdmitsExactlyTheConsistentKeys) {
+/// The agreement tests' circuit: 10% gshe16 camouflage, few enough key
+/// bits to enumerate every key.
+camo::Protection agreement_circuit() {
     netlist::RandomSpec spec;
     spec.n_inputs = 8;
     spec.n_outputs = 5;
     spec.n_gates = 30;
     spec.seed = 404;
     const Netlist plain = netlist::random_circuit(spec);
-    const camo::Protection prot = camo::apply_camouflage(
-        plain, camo::select_gates(plain, 0.10, 7), camo::gshe16(), 7);
+    return camo::apply_camouflage(plain, camo::select_gates(plain, 0.10, 7),
+                                  camo::gshe16(), 7);
+}
+
+TEST(CompactEncoder, AgreementAdmitsExactlyTheConsistentKeys) {
+    const camo::Protection prot = agreement_circuit();
     attack::ExactOracle oracle(prot.netlist);
     const auto key_bits =
         static_cast<std::size_t>(prot.netlist.key_bit_count());
@@ -310,7 +318,7 @@ TEST(CompactEncoder, AgreementAdmitsExactlyTheConsistentKeys) {
         std::vector<bool> x(prot.netlist.inputs().size());
         for (std::size_t i = 0; i < x.size(); ++i) x[i] = (rng() & 1) != 0;
         const std::vector<bool> y = oracle.query_single(x);
-        enc.add_agreement(prot.netlist, e.keys, x, y);
+        enc.add_agreements(prot.netlist, {e.keys}, {x}, {y});
         xs.push_back(x);
         ys.push_back(y);
         const std::vector<bool> want =
@@ -322,6 +330,50 @@ TEST(CompactEncoder, AgreementAdmitsExactlyTheConsistentKeys) {
     // The cone mechanism actually engaged: some gates were simulated away.
     EXPECT_GT(enc.stats().sim_gates, 0u);
     EXPECT_GT(enc.stats().cone_gates, 0u);
+}
+
+TEST(CompactEncoder, BatchedAgreementsAdmitExactlyTheConsistentKeys) {
+    // 70 observations fill two sweep words, lanes 64-69 in the second. One
+    // add_agreements call over two key copies must emit the CNF of 70
+    // one-pattern calls and admit exactly the consistent keys in each copy.
+    const camo::Protection prot = agreement_circuit();
+    const Netlist& nl = prot.netlist;
+    attack::ExactOracle oracle(nl);
+    const auto key_bits = static_cast<std::size_t>(nl.key_bit_count());
+    ASSERT_LE(key_bits, 12u) << "matrix too large to enumerate";
+
+    Rng rng(505);
+    std::vector<std::vector<bool>> xs, ys;
+    for (int i = 0; i < 70; ++i) {
+        std::vector<bool> x(nl.inputs().size());
+        for (std::size_t in = 0; in < x.size(); ++in) x[in] = (rng() & 1) != 0;
+        ys.push_back(oracle.query_single(x));
+        xs.push_back(std::move(x));
+    }
+
+    sat::Solver batched;
+    CircuitEncoder batched_enc(batched);
+    const sat::Encoding b1 = batched_enc.encode(nl);
+    const sat::Encoding b2 = batched_enc.encode(nl, b1.pis);
+    batched_enc.add_agreements(nl, {b1.keys, b2.keys}, xs, ys);
+
+    sat::Solver single;
+    CircuitEncoder single_enc(single);
+    const sat::Encoding s1 = single_enc.encode(nl);
+    const sat::Encoding s2 = single_enc.encode(nl, s1.pis);
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        single_enc.add_agreements(nl, {s1.keys, s2.keys}, {xs[i]}, {ys[i]});
+
+    // Compared before any solve: learnt clauses count in num_clauses().
+    EXPECT_EQ(batched.num_vars(), single.num_vars());
+    EXPECT_EQ(batched.num_clauses(), single.num_clauses());
+    EXPECT_EQ(batched_enc.stats().agreement_clauses,
+              single_enc.stats().agreement_clauses);
+    EXPECT_EQ(batched_enc.stats().agreements, 140u);
+
+    const std::vector<bool> want = consistent_keys(nl, key_bits, xs, ys);
+    EXPECT_EQ(admitted_keys(batched, b1), want);
+    EXPECT_EQ(admitted_keys(batched, b2), want);
 }
 
 // ---- key recovery -----------------------------------------------------------

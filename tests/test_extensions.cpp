@@ -305,7 +305,7 @@ TEST(SarLock, WrongKeyFlipsExactlyOnePattern) {
                 if ((x >> i) & 1) pi[i] |= std::uint64_t{1} << bit;
         }
         const auto a = sim.run(pi);
-        const auto b = sim.run_with_functions(pi, *fns);
+        const auto b = sim.run(pi, 1, {.overrides = *fns});
         std::uint64_t diff = 0;
         for (std::size_t o = 0; o < a.size(); ++o) diff |= a[o] ^ b[o];
         differing_patterns += __builtin_popcountll(diff);

@@ -23,13 +23,13 @@
 #include <string>
 #include <vector>
 
+#include "attack/oracle.hpp"
 #include "camo/cell_library.hpp"
 #include "camo/protect.hpp"
 #include "common/rng.hpp"
 #include "engine/campaign.hpp"
 #include "engine/report.hpp"
 #include "netlist/generator.hpp"
-#include "netlist/simulator.hpp"
 #include "sat/encoder.hpp"
 #include "sat/solver.hpp"
 
@@ -197,8 +197,8 @@ TEST(InprocessCrossCheck, RandomMitersAgreeWithBaselineAndSimulator) {
             std::vector<bool> pi(a.inputs().size());
             for (std::size_t i = 0; i < pi.size(); ++i)
                 pi[i] = on.model_bool(enc_on.pis[i]);
-            auto oa = netlist::Simulator(a).run_single(pi);
-            auto ob = netlist::Simulator(b).run_single(pi);
+            auto oa = attack::ExactOracle(a).query_single(pi);
+            auto ob = attack::ExactOracle(b).query_single(pi);
             oa.resize(static_cast<std::size_t>(spec.n_outputs));
             ob.resize(static_cast<std::size_t>(spec.n_outputs));
             ASSERT_NE(oa, ob) << "miter trial " << trial;
@@ -483,8 +483,8 @@ void random_3sat_with_binaries(Solver& s, std::uint64_t seed) {
 }
 
 // The attack's DIP loop on a small camouflaged circuit: DIP solves under
-// {guard} with an agreement pair per DIP, then key extraction under
-// {~guard} on the same solver.
+// {guard} with both key copies' agreements per DIP, then key extraction
+// under {~guard} on the same solver.
 void camo_miter_rounds(Solver& s) {
     netlist::RandomSpec spec;
     spec.n_inputs = 12;
@@ -494,7 +494,7 @@ void camo_miter_rounds(Solver& s) {
     const netlist::Netlist plain = netlist::random_circuit(spec);
     const camo::Protection prot = camo::apply_camouflage(
         plain, camo::select_gates(plain, 0.15, 3), camo::gshe16(), 3);
-    const netlist::Simulator oracle(prot.netlist);
+    attack::ExactOracle oracle(prot.netlist);
     CircuitEncoder encoder(s);
     const Encoding e1 = encoder.encode(prot.netlist);
     const Encoding e2 = encoder.encode(prot.netlist, e1.pis);
@@ -503,8 +503,8 @@ void camo_miter_rounds(Solver& s) {
     for (int round = 0; round < 24 && s.solve({guard}) == Result::Sat; ++round) {
         std::vector<bool> x(e1.pis.size());
         for (std::size_t i = 0; i < x.size(); ++i) x[i] = s.model_bool(e1.pis[i]);
-        encoder.add_agreement_pair(prot.netlist, e1.keys, e2.keys, x,
-                                   oracle.run_single(x));
+        encoder.add_agreements(prot.netlist, {e1.keys, e2.keys}, {x},
+                               {oracle.query_single(x)});
     }
     s.solve({~guard});
 }

@@ -29,6 +29,16 @@ Netlist tiny_and_or() {
     return nl;
 }
 
+/// Single-pattern evaluation: bit 0 of one packed sweep.
+std::vector<bool> run_single(const Simulator& sim, const std::vector<bool>& pi) {
+    std::vector<std::uint64_t> words(pi.size());
+    for (std::size_t i = 0; i < pi.size(); ++i) words[i] = pi[i] ? 1 : 0;
+    const std::vector<std::uint64_t> out = sim.run(words);
+    std::vector<bool> bits(out.size());
+    for (std::size_t o = 0; o < out.size(); ++o) bits[o] = (out[o] & 1) != 0;
+    return bits;
+}
+
 // ---- Netlist structure -------------------------------------------------------
 
 TEST(Netlist, BasicConstruction) {
@@ -128,7 +138,7 @@ TEST(Simulator, TinyCircuitTruth) {
     const Simulator sim(nl);
     for (int m = 0; m < 8; ++m) {
         const bool a = m & 1, b = m & 2, c = m & 4;
-        const auto out = sim.run_single({a, b, c});
+        const auto out = run_single(sim, {a, b, c});
         EXPECT_EQ(out[0], (a && b) || c);
     }
 }
@@ -149,7 +159,7 @@ TEST(Simulator, PackedMatchesSingle) {
         std::vector<bool> single(pi.size());
         for (std::size_t i = 0; i < pi.size(); ++i)
             single[i] = ((pi[i] >> bit) & 1) != 0;
-        const auto out = sim.run_single(single);
+        const auto out = run_single(sim, single);
         for (std::size_t o = 0; o < out.size(); ++o)
             EXPECT_EQ(out[o], ((packed[o] >> bit) & 1) != 0);
     }
@@ -172,7 +182,7 @@ TEST(Simulator, FunctionOverridesApply) {
     const auto truth = sim.run(pi);
     EXPECT_EQ(truth[0], 0ULL);  // (1&0)|0 = 0
     const core::Bool2 ovr[] = {Bool2::OR()};
-    const auto forged = sim.run_with_functions(pi, ovr);
+    const auto forged = sim.run(pi, 1, {.overrides = ovr});
     EXPECT_EQ(forged[0], ~0ULL);  // (1|0)|0 = 1
 }
 
@@ -182,7 +192,7 @@ TEST(Simulator, NoisyFlipMasksApply) {
     const Simulator sim(nl);
     std::vector<std::uint64_t> pi = {~0ULL, ~0ULL, 0ULL};  // a=b=1, c=0
     const std::uint64_t masks[] = {0xFFULL};  // flip patterns 0..7
-    const auto out = sim.run_noisy(pi, masks);
+    const auto out = sim.run(pi, 1, {.flip_masks = masks});
     EXPECT_EQ(out[0], ~0xFFULL);  // true 1 everywhere, flipped low byte
 }
 
@@ -216,7 +226,7 @@ TEST(BenchIo, C17KnownVectors) {
         const bool n19 = !(n11 && i7);
         const bool o22 = !(n10 && n16);
         const bool o23 = !(n16 && n19);
-        const auto out = sim.run_single({i1, i2, i3, i6, i7});
+        const auto out = run_single(sim, {i1, i2, i3, i6, i7});
         EXPECT_EQ(out[0], o22) << m;
         EXPECT_EQ(out[1], o23) << m;
     }
@@ -250,7 +260,7 @@ TEST(BenchIo, MultiInputGatesDecompose) {
     const Simulator sim(nl);
     for (int m = 0; m < 16; ++m) {
         const bool a = m & 1, b = m & 2, c = m & 4, d = m & 8;
-        EXPECT_EQ(sim.run_single({a, b, c, d})[0], !(a && b && c && d));
+        EXPECT_EQ(run_single(sim, {a, b, c, d})[0], !(a && b && c && d));
     }
 }
 
@@ -260,8 +270,8 @@ TEST(BenchIo, ForwardReferencesResolve) {
         "y = AND(t, b)\n"   // t defined later
         "t = NOT(a)\n");
     const Simulator sim(nl);
-    EXPECT_EQ(sim.run_single({false, true})[0], true);
-    EXPECT_EQ(sim.run_single({true, true})[0], false);
+    EXPECT_EQ(run_single(sim, {false, true})[0], true);
+    EXPECT_EQ(run_single(sim, {true, true})[0], false);
 }
 
 TEST(BenchIo, DffRoundTrip) {
@@ -345,7 +355,7 @@ TEST(Generator, RippleCarryAdderAddsCorrectly) {
         for (int i = 0; i < 8; ++i) pi.push_back((a >> i) & 1);
         for (int i = 0; i < 8; ++i) pi.push_back((b >> i) & 1);
         pi.push_back(cin != 0);
-        const auto out = sim.run_single(pi);
+        const auto out = run_single(sim, pi);
         const unsigned sum = a + b + cin;
         for (int i = 0; i < 9; ++i)
             ASSERT_EQ(out[static_cast<std::size_t>(i)], ((sum >> i) & 1) != 0)
@@ -363,7 +373,7 @@ TEST(Generator, ArrayMultiplierMultipliesCorrectly) {
         std::vector<bool> pi;
         for (int i = 0; i < 6; ++i) pi.push_back((a >> i) & 1);
         for (int i = 0; i < 6; ++i) pi.push_back((b >> i) & 1);
-        const auto out = sim.run_single(pi);
+        const auto out = run_single(sim, pi);
         const unsigned prod = a * b;
         ASSERT_EQ(out.size(), 12u);
         for (int i = 0; i < 12; ++i)
@@ -429,7 +439,7 @@ TEST(Sequential, UnrollPreservesCombinationalFunction) {
     for (auto& w : state) w = rng();
 
     // Sequential view: POs with DFF outputs forced to `state`.
-    const auto seq_out = s_seq.run(pi, state);
+    const auto seq_out = s_seq.run(pi, 1, {.dff_words = state});
     // Scan view: state appended to the inputs.
     std::vector<std::uint64_t> comb_pi = pi;
     comb_pi.insert(comb_pi.end(), state.begin(), state.end());

@@ -1,13 +1,15 @@
 // Tests for the levelized bit-sliced simulation engine (netlist/sim_plan.hpp
-// + the Simulator rewrite): plan-kernel vs reference-walk word equality on
-// 200 randomized netlists (camo overrides, noisy flip masks, DFF words),
-// cone-restricted vs full sweep equality on every frontier read gate,
-// multi-word vs repeated-64 equality, and plan-cache invalidation under
-// camouflage() / clear_camouflage().
+// + netlist/simulator.hpp): plan-kernel vs reference-walk word equality on
+// 200 randomized netlists (oracle, override, noisy and DFF views),
+// multi-word vs per-word equality for every view, cone-restricted vs full
+// sweep equality on every frontier read gate, the view-size checks, and
+// plan-cache invalidation under camouflage() / clear_camouflage().
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -22,12 +24,23 @@ namespace gshe {
 namespace {
 
 using netlist::Netlist;
+using netlist::SimView;
 using netlist::Simulator;
 
 std::vector<std::uint64_t> random_words(std::mt19937_64& rng, std::size_t n) {
     std::vector<std::uint64_t> w(n);
     for (auto& x : w) x = rng();
     return w;
+}
+
+/// Word w of every row of a row-major block with n_words words per row
+/// (input-major PI words, cell-major flip masks).
+std::vector<std::uint64_t> word_slice(const std::vector<std::uint64_t>& block,
+                                      std::size_t n_words, std::size_t w) {
+    std::vector<std::uint64_t> slice(block.size() / n_words);
+    for (std::size_t i = 0; i < slice.size(); ++i)
+        slice[i] = block[i * n_words + w];
+    return slice;
 }
 
 /// Attacker-view override draw: each camo cell picks a random candidate.
@@ -43,9 +56,9 @@ std::vector<core::Bool2> random_overrides(const Netlist& nl,
 // ---- plan kernel vs reference walk ------------------------------------------
 
 TEST(SimPlanKernel, TwoHundredRandomNetlistsMatchTheReferenceWalk) {
-    // The tentpole's core claim: the level-major SoA kernel computes
-    // bit-identical words to the historical per-gate topological walk, for
-    // the oracle view, the attacker (override) view, and the noisy view.
+    // The level-major SoA kernel computes bit-identical words to the
+    // per-gate topological walk, for the oracle view, the attacker
+    // (override) view, and the noisy view.
     std::size_t camo_checked = 0;
     for (std::uint64_t seed = 1; seed <= 200; ++seed) {
         std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull);
@@ -68,13 +81,13 @@ TEST(SimPlanKernel, TwoHundredRandomNetlistsMatchTheReferenceWalk) {
         ++camo_checked;
         // Attacker view under a random key guess.
         const auto fns = random_overrides(nl, rng);
-        EXPECT_EQ(sim.run_with_functions(pi, fns),
-                  sim.run_reference(pi, fns))
+        EXPECT_EQ(sim.run(pi, 1, {.overrides = fns}),
+                  sim.run_reference(pi, {.overrides = fns}))
             << "seed " << seed;
         // Stochastic-primitive view: random per-cell flip masks.
         const auto flips = random_words(rng, nl.camo_cells().size());
-        EXPECT_EQ(sim.run_noisy(pi, flips),
-                  sim.run_reference(pi, {}, {}, flips))
+        EXPECT_EQ(sim.run(pi, 1, {.flip_masks = flips}),
+                  sim.run_reference(pi, {.flip_masks = flips}))
             << "seed " << seed;
     }
     // The sweep exercised real camouflage, not 200 plain circuits.
@@ -95,14 +108,29 @@ TEST(SimPlanKernel, SequentialNetlistsMatchTheReferenceWalkWithDffWords) {
 
         const auto pi = random_words(rng, nl.inputs().size());
         const auto dff = random_words(rng, nl.dffs().size());
-        EXPECT_EQ(sim.run(pi, dff), sim.run_reference(pi, {}, dff))
+        EXPECT_EQ(sim.run(pi, 1, {.dff_words = dff}),
+                  sim.run_reference(pi, {.dff_words = dff}))
             << "seed " << seed;
-        // Empty dff_words means all-zero DFF outputs, as before.
+        // Empty dff_words means all-zero DFF outputs.
         EXPECT_EQ(sim.run(pi), sim.run_reference(pi)) << "seed " << seed;
+
+        // Multi-word DFF words are input-major, like the primary inputs.
+        constexpr std::size_t kWords = 3;
+        const auto pi_words = random_words(rng, nl.inputs().size() * kWords);
+        const auto dff_words = random_words(rng, nl.dffs().size() * kWords);
+        const auto multi = sim.run(pi_words, kWords, {.dff_words = dff_words});
+        for (std::size_t w = 0; w < kWords; ++w) {
+            const auto one = sim.run_reference(
+                word_slice(pi_words, kWords, w),
+                {.dff_words = word_slice(dff_words, kWords, w)});
+            for (std::size_t o = 0; o < one.size(); ++o)
+                EXPECT_EQ(multi[o * kWords + w], one[o])
+                    << "seed " << seed << " word " << w << " out " << o;
+        }
     }
 }
 
-TEST(SimPlanKernel, RunSingleAndRunAllAgreeWithThePackedSweep) {
+TEST(SimPlanKernel, RunGathersTheOutputWordsOfTheSweep) {
     netlist::RandomSpec spec;
     spec.n_inputs = 10;
     spec.n_outputs = 6;
@@ -112,38 +140,29 @@ TEST(SimPlanKernel, RunSingleAndRunAllAgreeWithThePackedSweep) {
     const camo::Protection prot = camo::apply_camouflage(
         plain, camo::select_gates(plain, 0.15, 7), camo::gshe16(), 7);
     const Netlist& nl = prot.netlist;
+    ASSERT_FALSE(nl.camo_cells().empty());
     const Simulator sim(nl);
 
     std::mt19937_64 rng(99);
-    std::vector<bool> pattern(nl.inputs().size());
-    std::vector<std::uint64_t> pi(nl.inputs().size());
-    for (std::size_t i = 0; i < pattern.size(); ++i) {
-        pattern[i] = (rng() & 1) != 0;
-        pi[i] = pattern[i] ? ~0ull : 0ull;
+    const auto fns = random_overrides(nl, rng);
+    const SimView view{.overrides = fns};
+    for (const std::size_t n_words : {std::size_t{1}, std::size_t{3}}) {
+        const auto pi = random_words(rng, nl.inputs().size() * n_words);
+        const std::vector<std::uint64_t> outs = sim.run(pi, n_words, view);
+        const std::span<const std::uint64_t> all = sim.sweep(pi, n_words, view);
+        ASSERT_EQ(all.size(), nl.size() * n_words);
+        ASSERT_EQ(outs.size(), nl.outputs().size() * n_words);
+        for (std::size_t o = 0; o < nl.outputs().size(); ++o)
+            for (std::size_t w = 0; w < n_words; ++w)
+                EXPECT_EQ(outs[o * n_words + w],
+                          all[std::size_t{nl.outputs()[o].gate} * n_words + w])
+                    << "words " << n_words << " output " << o << " word " << w;
     }
-    const std::vector<std::uint64_t> outs = sim.run(pi);
-    const std::vector<bool> single = sim.run_single(pattern);
-    ASSERT_EQ(single.size(), outs.size());
-    for (std::size_t o = 0; o < outs.size(); ++o)
-        EXPECT_EQ(single[o], (outs[o] & 1) != 0) << "output " << o;
-
-    // run_single_all / the allocation-free span twin agree gate for gate.
-    const std::vector<char> all = sim.run_single_all(pattern);
-    const std::span<const char> all_span = sim.run_single_all_span(pattern);
-    ASSERT_EQ(all.size(), nl.size());
-    ASSERT_EQ(all_span.size(), nl.size());
-    for (std::size_t g = 0; g < nl.size(); ++g)
-        EXPECT_EQ(all[g], all_span[g]) << "gate " << g;
-
-    const std::vector<std::uint64_t> words = sim.run_all(pi);
-    ASSERT_EQ(words.size(), nl.size());
-    for (std::size_t g = 0; g < nl.size(); ++g)
-        EXPECT_EQ((words[g] & 1) != 0, all[g] != 0) << "gate " << g;
 }
 
 // ---- multi-word sweeps ------------------------------------------------------
 
-TEST(MultiWordSweep, MatchesRepeatedSixtyFourBitSweeps) {
+TEST(MultiWordSweep, MatchesPerWordSweepsForEveryView) {
     for (std::uint64_t seed = 1; seed <= 30; ++seed) {
         std::mt19937_64 rng(seed * 31337);
         netlist::RandomSpec spec;
@@ -161,24 +180,30 @@ TEST(MultiWordSweep, MatchesRepeatedSixtyFourBitSweeps) {
         const std::size_t n_out = nl.outputs().size();
         const std::size_t n_words = 1 + seed % 16;
 
-        // Input-major multi-word block and its per-word slices.
+        // Input-major PI words, cell-major flip masks, and their per-word
+        // slices.
         const auto pi_words = random_words(rng, n_in * n_words);
         const auto fns = random_overrides(nl, rng);
-        const auto multi = sim.run_words(pi_words, n_words);
-        const auto multi_fn =
-            sim.run_words_with_functions(pi_words, n_words, fns);
+        const auto flips = random_words(rng, nl.camo_cells().size() * n_words);
+        const auto multi = sim.run(pi_words, n_words);
+        const auto multi_fn = sim.run(pi_words, n_words, {.overrides = fns});
+        const auto multi_noisy =
+            sim.run(pi_words, n_words, {.flip_masks = flips});
         ASSERT_EQ(multi.size(), n_out * n_words);
         ASSERT_EQ(multi_fn.size(), n_out * n_words);
+        ASSERT_EQ(multi_noisy.size(), n_out * n_words);
         for (std::size_t w = 0; w < n_words; ++w) {
-            std::vector<std::uint64_t> slice(n_in);
-            for (std::size_t i = 0; i < n_in; ++i)
-                slice[i] = pi_words[i * n_words + w];
+            const auto slice = word_slice(pi_words, n_words, w);
+            const auto flip_slice = word_slice(flips, n_words, w);
             const auto one = sim.run(slice);
-            const auto one_fn = sim.run_with_functions(slice, fns);
+            const auto one_fn = sim.run(slice, 1, {.overrides = fns});
+            const auto one_noisy = sim.run(slice, 1, {.flip_masks = flip_slice});
             for (std::size_t o = 0; o < n_out; ++o) {
                 EXPECT_EQ(multi[o * n_words + w], one[o])
                     << "seed " << seed << " word " << w << " out " << o;
                 EXPECT_EQ(multi_fn[o * n_words + w], one_fn[o])
+                    << "seed " << seed << " word " << w << " out " << o;
+                EXPECT_EQ(multi_noisy[o * n_words + w], one_noisy[o])
                     << "seed " << seed << " word " << w << " out " << o;
             }
         }
@@ -189,17 +214,63 @@ TEST(MultiWordSweep, RejectsBadArguments) {
     const Netlist nl = netlist::c17();
     const Simulator sim(nl);
     const std::vector<std::uint64_t> pi(nl.inputs().size() * 2, 0);
-    EXPECT_THROW(sim.run_words(pi, 0), std::invalid_argument);
+    EXPECT_THROW(sim.run(pi, 0), std::invalid_argument);
     // Word count not matching inputs() * n_words.
-    EXPECT_THROW(sim.run_words(pi, 3), std::invalid_argument);
+    EXPECT_THROW(sim.run(pi, 3), std::invalid_argument);
+}
+
+TEST(Simulator, ViewSizesValidatedOnEverySweep) {
+    // A sequential camouflaged netlist, so every view span has a size to
+    // get wrong. Each wrong size below is wrong at one word and at two.
+    netlist::SequentialSpec spec;
+    spec.n_inputs = 6;
+    spec.n_outputs = 4;
+    spec.n_ffs = 5;
+    spec.n_gates = 60;
+    spec.seed = 11;
+    const Netlist seq = netlist::random_sequential(spec);
+    const camo::Protection prot = camo::apply_camouflage(
+        seq, camo::select_gates(seq, 0.10, 11), camo::gshe16(), 11);
+    const Netlist& nl = prot.netlist;
+    const std::size_t cells = nl.camo_cells().size();
+    ASSERT_GE(cells, 2u);
+    ASSERT_GE(nl.dffs().size(), 1u);
+    const Simulator sim(nl);
+
+    std::mt19937_64 rng(5);
+    const std::vector<core::Bool2> overrides(cells + 1, core::Bool2::AND());
+    const auto masks = random_words(rng, 3 * cells);
+    const auto dff = random_words(rng, 3 * nl.dffs().size());
+    const SimView wrong[] = {
+        {.overrides = overrides}, {.flip_masks = masks}, {.dff_words = dff}};
+    for (std::size_t v = 0; v < std::size(wrong); ++v) {
+        for (const std::size_t n_words : {std::size_t{1}, std::size_t{2}}) {
+            const auto pi = random_words(rng, nl.inputs().size() * n_words);
+            EXPECT_THROW(sim.run(pi, n_words, wrong[v]), std::invalid_argument)
+                << "view " << v << " words " << n_words;
+            EXPECT_THROW(sim.sweep(pi, n_words, wrong[v]), std::invalid_argument)
+                << "view " << v << " words " << n_words;
+        }
+        const auto pi = random_words(rng, nl.inputs().size());
+        EXPECT_THROW(sim.run_reference(pi, wrong[v]), std::invalid_argument)
+            << "view " << v;
+    }
+
+    // Flip masks are cell-major: one mask per cell is one word's worth.
+    const auto one_per_cell = random_words(rng, cells);
+    const auto pi1 = random_words(rng, nl.inputs().size());
+    const auto pi2 = random_words(rng, nl.inputs().size() * 2);
+    EXPECT_NO_THROW(sim.run(pi1, 1, {.flip_masks = one_per_cell}));
+    EXPECT_THROW(sim.run(pi2, 2, {.flip_masks = one_per_cell}),
+                 std::invalid_argument);
 }
 
 // ---- cone-restricted sweeps -------------------------------------------------
 
 TEST(FrontierSweep, EqualsTheFullSweepOnEveryReadGate) {
     // The acceptance property for the restricted plan: every gate in
-    // frontier_read_set() carries exactly the full-sweep value, single-bit
-    // and multi-word, on 100 randomized camouflaged netlists.
+    // frontier_read_set() carries exactly the full-sweep words, at 1-4
+    // words, on 100 randomized camouflaged netlists.
     std::size_t restricted_somewhere = 0;
     for (std::uint64_t seed = 1; seed <= 100; ++seed) {
         std::mt19937_64 rng(seed ^ 0xDEADBEEFull);
@@ -223,33 +294,19 @@ TEST(FrontierSweep, EqualsTheFullSweepOnEveryReadGate) {
         if (nl.frontier_plan().steps() < nl.sim_plan().steps())
             ++restricted_somewhere;
 
-        // Single-pattern: frontier values match run_single_all at reads.
-        std::vector<bool> pattern(nl.inputs().size());
-        for (std::size_t i = 0; i < pattern.size(); ++i)
-            pattern[i] = (rng() & 1) != 0;
-        const std::vector<char> full = sim.run_single_all(pattern);
-        const std::span<const char> frontier = sim.run_frontier_single(pattern);
-        for (const netlist::GateId g : reads)
-            EXPECT_EQ(frontier[g], full[g]) << "seed " << seed << " gate " << g;
-
-        // Multi-word: frontier words match per-word run_all at reads.
         const std::size_t n_words = 1 + seed % 4;
         const auto pi_words =
             random_words(rng, nl.inputs().size() * n_words);
-        const std::span<const std::uint64_t> fw =
-            sim.run_frontier_words(pi_words, n_words);
-        ASSERT_EQ(fw.size(), nl.size() * n_words) << "seed " << seed;
-        // Copy before the next run invalidates the scratch-aliasing span.
-        const std::vector<std::uint64_t> fw_copy(fw.begin(), fw.end());
-        for (std::size_t w = 0; w < n_words; ++w) {
-            std::vector<std::uint64_t> slice(nl.inputs().size());
-            for (std::size_t i = 0; i < slice.size(); ++i)
-                slice[i] = pi_words[i * n_words + w];
-            const std::vector<std::uint64_t> all = sim.run_all(slice);
-            for (const netlist::GateId g : reads)
-                EXPECT_EQ(fw_copy[g * n_words + w], all[g])
+        const std::span<const std::uint64_t> full = sim.sweep(pi_words, n_words);
+        // Copy before the next sweep invalidates the scratch-aliasing span.
+        const std::vector<std::uint64_t> full_copy(full.begin(), full.end());
+        const std::span<const std::uint64_t> frontier =
+            sim.sweep_frontier(pi_words, n_words);
+        ASSERT_EQ(frontier.size(), nl.size() * n_words) << "seed " << seed;
+        for (const netlist::GateId g : reads)
+            for (std::size_t w = 0; w < n_words; ++w)
+                EXPECT_EQ(frontier[g * n_words + w], full_copy[g * n_words + w])
                     << "seed " << seed << " word " << w << " gate " << g;
-        }
     }
     EXPECT_GT(restricted_somewhere, 50u);
 }
@@ -302,14 +359,18 @@ TEST(PlanCache, CamouflageAndClearInvalidateThePlans) {
     const core::Bool2 truth = nl.gate(target).fn;
     const core::Bool2 other =
         truth == core::Bool2::NAND() ? core::Bool2::NOR() : core::Bool2::NAND();
-    const auto true_all = sim.run_all(pi);
+    const std::span<const std::uint64_t> swept = sim.sweep(pi);
+    const std::vector<std::uint64_t> true_all(swept.begin(), swept.end());
     const std::vector<core::Bool2> wrong{other};
-    EXPECT_EQ(sim.run_with_functions(pi, wrong), sim.run_reference(pi, wrong));
+    EXPECT_EQ(sim.run(pi, 1, {.overrides = wrong}),
+              sim.run_reference(pi, {.overrides = wrong}));
 
     // clear_camouflage() drops the binding again.
     nl.clear_camouflage();
     EXPECT_TRUE(nl.sim_plan().camo_step.empty());
-    EXPECT_EQ(sim.run_all(pi), true_all);
+    const std::span<const std::uint64_t> cleared = sim.sweep(pi);
+    EXPECT_EQ(std::vector<std::uint64_t>(cleared.begin(), cleared.end()),
+              true_all);
 }
 
 TEST(PlanCache, CopiesStartColdAndRebuildCorrectly) {

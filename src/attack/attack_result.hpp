@@ -61,6 +61,8 @@ struct AttackResult {
     /// true functionality (0.0 = exact on the sample).
     double key_error_rate = 1.0;
     bool key_exact = false;  ///< error rate was 0 on the sample
+    /// Solver work, summed over every solver the attack used (Double DIP
+    /// runs two miters, each under its own conflict cap).
     sat::Solver::Stats solver_stats;
     /// CNF-emission telemetry, summed over every encoder the attack used
     /// (Double DIP runs two miters). Telemetry only: rides the JSON report

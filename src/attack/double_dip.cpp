@@ -65,12 +65,12 @@ AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
     if (two_dips_exhausted) {
         // Phase 2: fewer than two eliminable keys remain; the standard
         // single-DIP loop finishes the job, seeded with the phase-1
-        // observations. It reports its own solver's counters.
+        // observations, on a solver and encoder of its own.
         res = detail::run_single_dip_loop(camo_nl, oracle, options, timer,
                                           history, res.iterations);
-    } else {
-        res.solver_stats = solver.stats();
     }
+    // The counters cover both miters.
+    sat::accumulate(res.solver_stats, solver.stats());
     sat::accumulate(res.encoder_stats, encoder.stats());
     detail::finalize_result(res, camo_nl, oracle, options, timer);
     return res;

@@ -154,8 +154,10 @@ void write_result(JsonWriter& w, const JobResult& r) {
     w.value(r.result.solver_stats.learnt_clauses);
     w.key("removed_clauses");
     w.value(r.result.solver_stats.removed_clauses);
-    // Inprocessing telemetry (additive; zero defaults keep older journal
-    // records decoding identically).
+    // Chronological-backtracking and inprocessing telemetry (additive; zero
+    // defaults keep older journal records decoding identically).
+    w.key("chrono_backtracks");
+    w.value(r.result.solver_stats.chrono_backtracks);
     w.key("inprocessings");
     w.value(r.result.solver_stats.inprocessings);
     w.key("gc_runs");
@@ -370,6 +372,8 @@ std::optional<JobResult> result_from_value(const json::Value& v) {
         r.result.solver_stats.learnt_clauses = u64_field(*s, "learnt_clauses");
         r.result.solver_stats.removed_clauses =
             u64_field(*s, "removed_clauses");
+        r.result.solver_stats.chrono_backtracks =
+            u64_field(*s, "chrono_backtracks", 0);
         r.result.solver_stats.inprocessings =
             u64_field(*s, "inprocessings", 0);
         r.result.solver_stats.gc_runs = u64_field(*s, "gc_runs", 0);

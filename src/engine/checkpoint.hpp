@@ -48,11 +48,13 @@ namespace gshe::engine::checkpoint {
 /// need a bump. Version 2: every attack extracts its key on the live miter
 /// solver. Version 3: the per-gate CNF encoding that used to be the default
 /// is gone; every attack encodes through the folding, hashing, key-cone
-/// sat::CircuitEncoder. Default job specs kept their keys across both
-/// changes, so older records — results of the retired extraction or the
-/// retired encoding — are skipped rather than resumed or merged into
-/// current results.
-inline constexpr std::uint64_t kJournalVersion = 3;
+/// sat::CircuitEncoder. Version 4: the solver backtracks chronologically
+/// instead of backjumping over more than sat::Solver::kChronoLevels levels,
+/// and Double DIP reports both of its solvers' counters. Default job specs
+/// kept their keys across all three changes, so older records — results of
+/// the retired extraction, the retired encoding or the backjump-only
+/// search — are skipped rather than resumed or merged into current results.
+inline constexpr std::uint64_t kJournalVersion = 4;
 
 /// Shard provenance stamped on every record (additive to version 1): which
 /// plan the job belongs to and which shard's journal it was written into.

@@ -65,6 +65,9 @@ struct SolverStats {
     std::uint64_t restarts = 0;
     std::uint64_t learnt_clauses = 0;
     std::uint64_t removed_clauses = 0;
+    /// Learnt clauses asserted one level down instead of at the end of a
+    /// backjump over more than Solver::kChronoLevels levels.
+    std::uint64_t chrono_backtracks = 0;
     // Inprocessing / clause-arena telemetry (zero when the passes are off).
     std::uint64_t inprocessings = 0;     ///< inprocessing rounds run
     std::uint64_t gc_runs = 0;           ///< clause-arena compactions

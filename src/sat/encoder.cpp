@@ -65,6 +65,21 @@ void accumulate(EncoderStats& into, const EncoderStats& from) {
     into.sim_gates += from.sim_gates;
 }
 
+void accumulate(SolverStats& into, const SolverStats& from) {
+    into.decisions += from.decisions;
+    into.propagations += from.propagations;
+    into.conflicts += from.conflicts;
+    into.restarts += from.restarts;
+    into.learnt_clauses += from.learnt_clauses;
+    into.removed_clauses += from.removed_clauses;
+    into.chrono_backtracks += from.chrono_backtracks;
+    into.inprocessings += from.inprocessings;
+    into.gc_runs += from.gc_runs;
+    into.vivified_lits += from.vivified_lits;
+    into.xors_recovered += from.xors_recovered;
+    into.eliminated_vars += from.eliminated_vars;
+}
+
 CircuitEncoder::CircuitEncoder(SolverBackend& solver) : solver_(solver) {}
 
 Lit CircuitEncoder::constant(bool value) {

@@ -58,9 +58,11 @@ struct EncoderStats {
     std::uint64_t sim_gates = 0;   ///< gates replaced by simulation instead
 };
 
-/// Field-wise sum — an attack that builds several miters (Double DIP) reports
-/// one combined counter set.
+/// Field-wise sums — an attack that builds several miters (Double DIP)
+/// reports one combined counter set for its encoders and one for its
+/// solvers.
 void accumulate(EncoderStats& into, const EncoderStats& from);
+void accumulate(SolverStats& into, const SolverStats& from);
 
 /// Variable/literal map of one circuit instance. Outputs are literals: an
 /// output may fold to a constant or to the complement of an internal node.

@@ -70,7 +70,7 @@ bool Solver::add_simplified(Clause c, ClauseRef* out) {
             ok_ = false;
             return false;
         }
-        enqueue(simplified[0], kNoReason);
+        enqueue(simplified[0], kNoReason, current_level());
         if (propagate() != kNoReason) {
             ok_ = false;
             return false;
@@ -138,24 +138,47 @@ void Solver::attach(ClauseRef cref) {
     watches_[static_cast<std::size_t>((~b).code())].push_back({tagged, a});
 }
 
-void Solver::detach(ClauseRef cref) {
-    for (const Lit l : {clause_lit(cref, 0), clause_lit(cref, 1)}) {
-        auto& ws = watches_[static_cast<std::size_t>((~l).code())];
-        for (std::size_t j = 0; j < ws.size(); ++j)
-            if ((ws[j].cref & ~kBinaryWatch) == cref) {
-                ws[j] = ws.back();
-                ws.pop_back();
-                break;
-            }
-    }
+void Solver::unwatch(Lit l, ClauseRef cref) {
+    auto& ws = watches_[static_cast<std::size_t>((~l).code())];
+    for (std::size_t j = 0; j < ws.size(); ++j)
+        if ((ws[j].cref & ~kBinaryWatch) == cref) {
+            ws[j] = ws.back();
+            ws.pop_back();
+            return;
+        }
 }
 
-void Solver::enqueue(Lit l, ClauseRef reason) {
+void Solver::detach(ClauseRef cref) {
+    unwatch(clause_lit(cref, 0), cref);
+    unwatch(clause_lit(cref, 1), cref);
+}
+
+void Solver::place_in_watch(ClauseRef cr, std::uint32_t slot, std::uint32_t k) {
+    if (k == slot) return;
+    const Lit moved = clause_lit(cr, k);
+    const Lit out = clause_lit(cr, slot);
+    if (k >= 2) {  // only a long clause has an unwatched literal
+        unwatch(out, cr);
+        watches_[static_cast<std::size_t>((~moved).code())].push_back(
+            {cr, clause_lit(cr, 1 - slot)});
+    }
+    set_clause_lit(cr, slot, moved);
+    set_clause_lit(cr, k, out);
+}
+
+int Solver::max_level(ClauseRef cr, std::uint32_t from) const {
+    int lv = 0;
+    for (std::uint32_t k = from; k < clause_size(cr); ++k)
+        lv = std::max(lv, level_of(clause_lit(cr, k).var()));
+    return lv;
+}
+
+void Solver::enqueue(Lit l, ClauseRef reason, int level) {
     const auto v = static_cast<std::size_t>(l.var());
     vals_[static_cast<std::size_t>(l.code())] = LBool::True;
     vals_[static_cast<std::size_t>((~l).code())] = LBool::False;
     reason_[v] = reason;
-    level_[v] = current_level();
+    level_[v] = level;
     trail_.push_back(l);
 }
 
@@ -163,6 +186,9 @@ Solver::ClauseRef Solver::propagate() {
     while (qhead_ < trail_.size()) {
         const Lit p = trail_[qhead_++];
         const Lit not_p = ~p;
+        // An implication's level is the highest among its reason's false
+        // literals: p's, unless p sits below the current level.
+        const int p_level = level_of(p.var());
         ++stats_.propagations;
         auto& ws = watches_[static_cast<std::size_t>(p.code())];
         // No clause moves its watch onto ws (the new watch is a non-false
@@ -184,7 +210,7 @@ Solver::ClauseRef Solver::propagate() {
                 *j++ = w;
                 const ClauseRef cref = w.cref & ~kBinaryWatch;
                 if (blocker == LBool::Undef) {
-                    enqueue(w.blocker, cref);
+                    enqueue(w.blocker, cref, p_level);
                     continue;
                 }
                 // Store it as the long-clause path leaves a conflict:
@@ -219,7 +245,9 @@ Solver::ClauseRef Solver::propagate() {
                 // Clause is unit or conflicting.
                 *j++ = {w.cref, first};
                 if (value(first) != LBool::False) {
-                    enqueue(first, w.cref);
+                    enqueue(first, w.cref,
+                            p_level == current_level() ? p_level
+                                                       : max_level(w.cref, 1));
                     continue;
                 }
                 conflict = w.cref;
@@ -237,20 +265,67 @@ Solver::ClauseRef Solver::propagate() {
 
 void Solver::backtrack_to(int target_level) {
     if (current_level() <= target_level) return;
-    const int first = trail_lim_[static_cast<std::size_t>(target_level)];
-    for (int i = static_cast<int>(trail_.size()) - 1; i >= first; --i) {
-        const Lit x = trail_[static_cast<std::size_t>(i)];
+    const auto first =
+        static_cast<std::size_t>(trail_lim_[static_cast<std::size_t>(target_level)]);
+    bool kept = false;
+    for (std::size_t i = trail_.size(); i-- > first;) {
+        const Lit x = trail_[i];
         const Var v = x.var();
         const auto vi = static_cast<std::size_t>(v);
+        if (level_of(v) <= target_level) {  // out of order: stays assigned
+            kept = true;
+            continue;
+        }
         if (opts_.use_phase_saving) polarity_[vi] = x.negated() ? 0 : 1;
         vals_[2 * vi] = LBool::Undef;
         vals_[2 * vi + 1] = LBool::Undef;
         reason_[vi] = kNoReason;
         if (!heap_contains(v)) heap_insert(v);
     }
-    trail_.resize(static_cast<std::size_t>(first));
+    std::size_t out = first;
+    if (kept)
+        for (std::size_t i = first; i < trail_.size(); ++i)
+            if (value(trail_[i]) != LBool::Undef) trail_[out++] = trail_[i];
+    trail_.resize(out);
     trail_lim_.resize(static_cast<std::size_t>(target_level));
-    qhead_ = trail_.size();
+    // Propagate the kept literals again. A clause whose two watches stay
+    // false lost the true blocker that satisfied it, and only a visit from
+    // one of those watches finds it a new watch.
+    qhead_ = first;
+}
+
+bool Solver::backtrack_to_conflict(ClauseRef conflict, int conflict_level) {
+    const std::uint32_t size = clause_size(conflict);
+    const auto lv = [&](std::uint32_t k) {
+        return level_of(clause_lit(conflict, k).var());
+    };
+    std::uint32_t on_level = 0;
+    std::uint32_t at = 0;
+    for (std::uint32_t k = 0; k < size; ++k)
+        if (lv(k) == conflict_level) {
+            ++on_level;
+            at = k;
+        }
+    if (on_level == 1) {
+        // The clause is unit one level down: watch its literal there and the
+        // highest other one, and assert it at that one's level.
+        place_in_watch(conflict, 0, at);
+        std::uint32_t high = 1;
+        for (std::uint32_t k = 2; k < size; ++k)
+            if (lv(k) > lv(high)) high = k;
+        place_in_watch(conflict, 1, high);
+        backtrack_to(conflict_level - 1);
+        enqueue(clause_lit(conflict, 0), conflict, lv(1));
+        return true;
+    }
+    // Analysis backtracks below the conflict level. Two watches below it
+    // would stay false while the literals on it come free, and no visit
+    // would see the clause turn unit or false again: watch one that comes
+    // free.
+    if (lv(0) != conflict_level && lv(1) != conflict_level)
+        place_in_watch(conflict, lv(0) < lv(1) ? 0 : 1, at);
+    backtrack_to(conflict_level);
+    return false;
 }
 
 std::int32_t Solver::compute_lbd(const Clause& c) {
@@ -304,8 +379,15 @@ void Solver::analyze(ClauseRef conflict, Clause& learnt, int& backtrack_level) {
             else
                 learnt.push_back(q);
         }
-        // Next literal to resolve on.
-        while (!seen_[static_cast<std::size_t>(trail_[index - 1].var())]) --index;
+        // Next literal to resolve on: the latest seen one of the current
+        // level. On an out-of-order trail a seen literal of a lower level,
+        // bound for the learnt clause, can sit above it.
+        while (true) {
+            const Var tv = trail_[index - 1].var();
+            if (seen_[static_cast<std::size_t>(tv)] && level_of(tv) >= current_level())
+                break;
+            --index;
+        }
         p = trail_[--index];
         reason = reason_[static_cast<std::size_t>(p.var())];
         seen_[static_cast<std::size_t>(p.var())] = 0;
@@ -592,6 +674,12 @@ constexpr std::size_t kBveMaxResolventLen = 16;      // resolvent length cap
 }  // namespace
 
 void Solver::inprocess() {
+    // The passes want a propagated root, and backtracking to it leaves the
+    // root literals it kept queued.
+    if (propagate() != kNoReason) {
+        ok_ = false;
+        return;
+    }
     // Root facts need no reasons (they are consequences of the formula
     // alone); clearing them unlocks every clause for deletion and GC.
     for (Lit l : trail_) reason_[static_cast<std::size_t>(l.var())] = kNoReason;
@@ -630,7 +718,7 @@ void Solver::vivify() {
             kept.push_back(l);
             if (v == LBool::True) break;  // prefix implies l: clause = kept
             new_decision_level();
-            enqueue(~l, kNoReason);
+            enqueue(~l, kNoReason, current_level());
             if (propagate() != kNoReason) break;  // prefix refuted: clause = kept
         }
         backtrack_to(0);
@@ -652,7 +740,7 @@ void Solver::vivify() {
                 return;
             }
             if (value(kept[0]) == LBool::Undef) {
-                enqueue(kept[0], kNoReason);
+                enqueue(kept[0], kNoReason, current_level());
                 if (propagate() != kNoReason) {
                     ok_ = false;
                     return;
@@ -1012,7 +1100,11 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
         if (conflict != kNoReason) {
             ++stats_.conflicts;
             ++conflicts_this_restart;
-            if (current_level() == 0) {
+            // Chronological backtracking keeps literals below the current
+            // level on the trail, so a conflict can sit below it.
+            const int conflict_level =
+                opts_.use_learning ? max_level(conflict, 0) : current_level();
+            if (conflict_level == 0) {
                 // Root conflict: the formula itself is refuted (assumptions
                 // live on decision levels >= 1). Latch ok_ so later
                 // incremental calls stay Unsat — propagate() consumed the
@@ -1022,7 +1114,18 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                 return Result::Unsat;
             }
 
-            if (opts_.use_learning) {
+            if (!opts_.use_learning) {
+                // Chronological backtracking without learning.
+                if (current_level() <= static_cast<int>(assumptions.size()))
+                    return Result::Unsat;
+                const Lit flipped = trail_[static_cast<std::size_t>(
+                    trail_lim_.back())];
+                backtrack_to(current_level() - 1);
+                if (value(~flipped) == LBool::Undef)
+                    enqueue(~flipped, kNoReason, current_level());
+                else
+                    return Result::Unsat;
+            } else if (!backtrack_to_conflict(conflict, conflict_level)) {
                 Clause learnt;
                 int bt_level = 0;
                 analyze(conflict, learnt, bt_level);
@@ -1038,7 +1141,13 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                 // budget until the re-seed loop trips over the false
                 // assumption.
                 const bool into_assumptions = bt_level < assume_level;
-                backtrack_to(bt_level);
+                // A far backjump would unassign, and the search derive again,
+                // hundreds of levels the conflict did not involve: backtrack
+                // one level and assert at the true level instead.
+                const bool chrono = learnt.size() > 1 && !into_assumptions &&
+                                    current_level() - bt_level > kChronoLevels;
+                if (chrono) ++stats_.chrono_backtracks;
+                backtrack_to(chrono ? current_level() - 1 : bt_level);
                 if (learnt.size() == 1) {
                     if (value(learnt[0]) == LBool::False) {
                         // Learnt clauses are formula-implied (resolution over
@@ -1048,7 +1157,8 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                         if (current_level() == 0) ok_ = false;
                         return Result::Unsat;
                     }
-                    if (value(learnt[0]) == LBool::Undef) enqueue(learnt[0], kNoReason);
+                    if (value(learnt[0]) == LBool::Undef)
+                        enqueue(learnt[0], kNoReason, 0);
                     if (into_assumptions && is_assumption(~learnt[0]))
                         return Result::Unsat;
                 } else {
@@ -1057,25 +1167,12 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                     attach(cref);
                     learnts_.push_back(cref);
                     ++stats_.learnt_clauses;
-                    enqueue(learnt[0], cref);
+                    enqueue(learnt[0], cref, bt_level);
                     if (into_assumptions && is_assumption(~learnt[0]))
                         return Result::Unsat;
                 }
                 decay_var_activity();
                 decay_clause_activity();
-            } else {
-                // Chronological backtracking without learning.
-                if (current_level() <= static_cast<int>(assumptions.size())) {
-                    if (current_level() == 0) ok_ = false;
-                    return Result::Unsat;
-                }
-                const Lit flipped = trail_[static_cast<std::size_t>(
-                    trail_lim_.back())];
-                backtrack_to(current_level() - 1);
-                if (value(~flipped) == LBool::Undef)
-                    enqueue(~flipped, kNoReason);
-                else
-                    return Result::Unsat;
             }
 
             if (stats_.conflicts - last_budget_check >= 1024) {
@@ -1116,7 +1213,7 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
             }
             if (v == LBool::False) return Result::Unsat;  // assumptions conflict
             new_decision_level();
-            enqueue(a, kNoReason);
+            enqueue(a, kNoReason, current_level());
             continue;
         }
 
@@ -1133,7 +1230,7 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
         }
         ++stats_.decisions;
         new_decision_level();
-        enqueue(next, kNoReason);
+        enqueue(next, kNoReason, current_level());
     }
 }
 

@@ -6,7 +6,12 @@
 // checker all run on it. Architecture follows MiniSat: two-watched-literal
 // propagation, first-UIP conflict analysis with clause minimization, VSIDS
 // decision heuristic with phase saving, Luby restarts, and activity/LBD-
-// driven learnt-clause database reduction.
+// driven learnt-clause database reduction. A learnt clause that would
+// backjump over more than kChronoLevels levels backtracks one level instead
+// (chronological backtracking: Nadel & Ryvchin, SAT 2018, with the trail
+// and watch invariants of Möhle & Biere, SAT 2019): literals keep their
+// true levels, so the trail may hold a literal below the level of a literal
+// before it, and a conflict may sit below the current level.
 //
 // Additions for this project:
 //  * solve() takes assumptions, enabling the incremental DIP loop without
@@ -33,7 +38,10 @@
 //  * Assignments are indexed by literal code: value(Lit) is one load.
 // The layout is invisible to the search: compaction keeps clause order, a
 // binary conflict or reason is put in the literal order the long-clause
-// path leaves, and the heap keeps MiniSat's comparisons.
+// path leaves, and the heap keeps MiniSat's comparisons. (Chronological
+// backtracking does change the search, but only of a solve that jumps that
+// far; a search whose trail stays level-ordered is the plain backjumping
+// one.)
 //
 // Solver is the only implementation of the abstract sat::SolverBackend
 // interface (sat/backend.hpp). The nested Options/Budget/Stats/Result
@@ -156,10 +164,25 @@ private:
     int level_of(Var v) const { return level_[static_cast<std::size_t>(v)]; }
     int current_level() const { return static_cast<int>(trail_lim_.size()); }
 
-    void enqueue(Lit l, ClauseRef reason);
+    /// Assigns `l` at `level`, which is current_level() except for an
+    /// implication of a literal below it (chronological backtracking).
+    void enqueue(Lit l, ClauseRef reason, int level);
     ClauseRef propagate();
     void new_decision_level() { trail_lim_.push_back(static_cast<int>(trail_.size())); }
+    /// Unassigns every literal above `level`; the others stay on the trail,
+    /// in order, and are propagated again.
     void backtrack_to(int level);
+    /// Highest level among the literals of `cr` from index `from` on.
+    int max_level(ClauseRef cr, std::uint32_t from) const;
+    /// Moves the literal at index k into watch slot `slot` (0 or 1),
+    /// moving the watchers of a long clause with it.
+    void place_in_watch(ClauseRef cr, std::uint32_t slot, std::uint32_t k);
+    void unwatch(Lit l, ClauseRef cr);
+    /// Backtracks to the level of a learning-mode conflict, which may sit
+    /// below current_level(). Returns true when one literal of the
+    /// conflict is on that level: it is then enqueued with the conflict as
+    /// reason and there is nothing to learn.
+    bool backtrack_to_conflict(ClauseRef conflict, int conflict_level);
 
     // Conflict analysis.
     void analyze(ClauseRef conflict, Clause& learnt, int& backtrack_level);
@@ -228,6 +251,10 @@ private:
     static constexpr double kVarDecay = 0.95;
     static constexpr double kClauseDecay = 0.999;
     static constexpr std::uint64_t kRestartBase = 128;  ///< conflicts per Luby unit
+    /// A learnt clause that would backjump over more than this many levels
+    /// backtracks one level instead: the threshold T of Nadel & Ryvchin,
+    /// "Chronological Backtracking" (SAT 2018), at the value they ran.
+    static constexpr int kChronoLevels = 100;
     static constexpr std::int32_t kGlueKeepLbd = 2;     ///< reduce never drops LBD <= this
 
     Options opts_;

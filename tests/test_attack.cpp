@@ -211,18 +211,35 @@ TEST(DoubleDip, RecoversExactFunctionality) {
     EXPECT_TRUE(res.key_exact);
 }
 
-TEST(DoubleDip, WorksOnTinyKeySpace) {
-    // One camouflaged cell: phase 1 is immediately UNSAT; phase 2 finishes.
+Netlist one_camo_cell() {
     Netlist nl("tiny");
     const auto a = nl.add_input("a");
     const auto b = nl.add_input("b");
     const auto g = nl.add_gate(core::Bool2::NAND(), a, b);
     nl.add_output(g, "y");
     nl.camouflage(g, camo::gshe16().functions, "gshe16");
+    return nl;
+}
+
+TEST(DoubleDip, WorksOnTinyKeySpace) {
+    // One camouflaged cell: phase 1 records three 2-DIPs before its miter
+    // goes UNSAT; phase 2 finishes.
+    const Netlist nl = one_camo_cell();
     ExactOracle oracle(nl);
     const AttackResult res = double_dip_attack(nl, oracle);
     ASSERT_EQ(res.status, AttackResult::Status::Success);
     EXPECT_TRUE(res.key_exact);
+}
+
+TEST(DoubleDip, CountsBothPhasesSolverWork) {
+    // Phase 1's 2-DIP miter takes 111 conflicts to record its three 2-DIPs
+    // and refute a fourth, phase 2's miter 34. The result reports both
+    // solvers, not only the one that finished.
+    const Netlist nl = one_camo_cell();
+    ExactOracle oracle(nl);
+    const AttackResult res = double_dip_attack(nl, oracle);
+    ASSERT_EQ(res.status, AttackResult::Status::Success);
+    EXPECT_EQ(res.solver_stats.conflicts, 145u);
 }
 
 TEST(DoubleDip, TimeoutReported) {

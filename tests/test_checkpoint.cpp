@@ -118,6 +118,7 @@ JobResult sample_result() {
     r.result.solver_stats.restarts = 4;
     r.result.solver_stats.learnt_clauses = 88;
     r.result.solver_stats.removed_clauses = 11;
+    r.result.solver_stats.chrono_backtracks = 29;
     r.result.solver_stats.inprocessings = 7;
     r.result.solver_stats.gc_runs = 2;
     r.result.solver_stats.vivified_lits = 31;
@@ -226,6 +227,8 @@ void expect_results_equal(const JobResult& a, const JobResult& b) {
               b.result.solver_stats.learnt_clauses);
     EXPECT_EQ(a.result.solver_stats.removed_clauses,
               b.result.solver_stats.removed_clauses);
+    EXPECT_EQ(a.result.solver_stats.chrono_backtracks,
+              b.result.solver_stats.chrono_backtracks);
     EXPECT_EQ(a.result.solver_stats.inprocessings,
               b.result.solver_stats.inprocessings);
     EXPECT_EQ(a.result.solver_stats.gc_runs, b.result.solver_stats.gc_runs);
@@ -321,7 +324,7 @@ TEST(CheckpointRecord, UnknownFieldsAreTolerated) {
         ASSERT_NE(at, std::string::npos) << anchor;
         line.insert(at + anchor.size(), extra);
     };
-    inject_after("{\"v\":3", ",\"future\":{\"nested\":[1,\"two\",null]}");
+    inject_after("{\"v\":4", ",\"future\":{\"nested\":[1,\"two\",null]}");
     inject_after("\"spec\":{", "\"new_spec_field\":3.5,");
     inject_after("\"result\":{", "\"gpu_seconds\":0.1,");
 
@@ -341,7 +344,7 @@ TEST(CheckpointRecord, MalformedAndWrongVersionRejected) {
             << keep;
     // Unsupported version.
     std::string wrong_version = good;
-    wrong_version.replace(wrong_version.find("\"v\":3"), 5, "\"v\":9");
+    wrong_version.replace(wrong_version.find("\"v\":4"), 5, "\"v\":9");
     EXPECT_FALSE(checkpoint::decode_record(wrong_version).has_value());
     // Bad status string.
     std::string bad_status = good;
@@ -354,21 +357,24 @@ TEST(CheckpointRecord, MalformedAndWrongVersionRejected) {
 TEST(CheckpointRecord, OlderVersionLinesAreSkippedOnLoad) {
     // Version 1 records hold results of the retired fresh-solver key
     // extraction, version 2 records results of the retired per-gate CNF
-    // encoding, both under job keys that did not change; they must re-run.
+    // encoding, version 3 records results of the backjump-only search, all
+    // under job keys that did not change; they must re-run.
     const JobSpec spec = sample_spec();
-    const std::string v3 = checkpoint::encode_record(
+    const std::string v4 = checkpoint::encode_record(
         checkpoint::job_key(1, 7, spec), spec, sample_result());
-    std::string v1 = v3;
-    v1.replace(v1.find("\"v\":3"), 5, "\"v\":1");
-    std::string v2 = v3;
-    v2.replace(v2.find("\"v\":3"), 5, "\"v\":2");
+    const auto with_version = [&](const char* v) {
+        std::string line = v4;
+        line.replace(line.find("\"v\":4"), 5, v);
+        return line;
+    };
 
     ScratchJournal scratch("older_versions");
-    scratch.write_lines({v1, v2, v3});
+    scratch.write_lines({with_version("\"v\":1"), with_version("\"v\":2"),
+                         with_version("\"v\":3"), v4});
     const std::vector<checkpoint::Record> records =
         checkpoint::load_journal(scratch.path);
     ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records.front().line, v3);
+    EXPECT_EQ(records.front().line, v4);
 }
 
 TEST(CheckpointRecord, JobKeyDependsOnSeedIndexAndSpec) {

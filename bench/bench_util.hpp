@@ -44,72 +44,6 @@ inline std::string status_cell(const engine::JobResult& j) {
     return "t-o";
 }
 
-/// Timing hook for solver benches: renders one JSON record per campaign
-/// job — wall-seconds, status and solver work (plus an optional per-job
-/// label such as the ablation config name) — and writes it to `path` (e.g.
-/// "BENCH_solver.json"). These files seed the perf trajectory: successive
-/// runs are comparable by label. Wall-clock fields are measured, not
-/// derived, so the file is *not* byte-reproducible.
-inline void write_solver_bench_json(const std::string& path,
-                                    const engine::CampaignResult& campaign,
-                                    const std::vector<std::string>& labels = {}) {
-    JsonWriter w;
-    w.begin_object();
-    w.key("bench");
-    w.value("solver");
-    w.key("threads");
-    w.value(static_cast<std::int64_t>(campaign.threads));
-    w.key("wall_seconds");
-    w.value(campaign.wall_seconds);
-    w.key("jobs");
-    w.begin_array();
-    for (std::size_t i = 0; i < campaign.jobs.size(); ++i) {
-        const engine::JobResult& j = campaign.jobs[i];
-        w.begin_object();
-        if (i < labels.size()) {
-            w.key("label");
-            w.value(labels[i]);
-        }
-        w.key("circuit");
-        w.value(j.circuit);
-        w.key("attack");
-        w.value(j.attack);
-        w.key("status");
-        w.value(j.error.empty()
-                    ? attack::AttackResult::status_name(j.result.status)
-                    : "error");
-        w.key("attack_seconds");
-        w.value(j.result.seconds);
-        w.key("job_seconds");
-        w.value(j.job_seconds);
-        w.key("iterations");
-        w.value(static_cast<std::uint64_t>(j.result.iterations));
-        w.key("conflicts");
-        w.value(j.result.solver_stats.conflicts);
-        w.key("decisions");
-        w.value(j.result.solver_stats.decisions);
-        w.key("propagations");
-        w.value(j.result.solver_stats.propagations);
-        w.key("restarts");
-        w.value(j.result.solver_stats.restarts);
-        w.key("inprocessings");
-        w.value(j.result.solver_stats.inprocessings);
-        w.key("vivified_lits");
-        w.value(j.result.solver_stats.vivified_lits);
-        w.key("xors_recovered");
-        w.value(j.result.solver_stats.xors_recovered);
-        w.key("eliminated_vars");
-        w.value(j.result.solver_stats.eliminated_vars);
-        w.key("gc_runs");
-        w.value(j.result.solver_stats.gc_runs);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    write_text_file(path, w.str() + "\n");
-    std::printf("wrote %s (%zu jobs)\n", path.c_str(), campaign.jobs.size());
-}
-
 /// Perf-trajectory hook for the oracle query memo: one record per cache
 /// mode (off/on), each summing the campaign's logical oracle batches, the
 /// batches that actually reached the simulator, and memo hit/miss counts,

@@ -18,7 +18,7 @@ AttackResult appsat_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
     if (camo_nl.camo_cells().empty()) return detail::uncamouflaged_result(timer);
     AttackResult res;
 
-    sat::Solver solver(base.solver);
+    sat::Solver solver;
     sat::CircuitEncoder encoder(solver);
     const auto enc1 = encoder.encode(camo_nl);
     const auto enc2 = encoder.encode(camo_nl, enc1.pis);

@@ -28,7 +28,6 @@ struct AttackOptions {
     std::uint64_t max_conflicts = std::numeric_limits<std::uint64_t>::max();
     /// Hard cap on DIP iterations (safety net; effectively unbounded).
     std::size_t max_iterations = 1u << 20;
-    sat::Solver::Options solver;
     /// Seed for attack-internal randomness (AppSAT's reinforcement
     /// sampling); the campaign engine overrides it with the derived
     /// per-job seed so seed-replicated jobs are independent.

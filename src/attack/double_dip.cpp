@@ -15,7 +15,7 @@ AttackResult double_dip_attack(const netlist::Netlist& camo_nl, Oracle& oracle,
 
     // Phase 1: 2-DIP miter. Four circuit copies share the inputs; pairs
     // (k1,k2) and (k3,k4) each disagree; all cross pairs are distinct keys.
-    sat::Solver solver(options.solver);
+    sat::Solver solver;
     sat::CircuitEncoder encoder(solver);
     const auto enc1 = encoder.encode(camo_nl);
     const auto enc2 = encoder.encode(camo_nl, enc1.pis);

@@ -39,8 +39,7 @@ EquivResult run_miter(sat::SolverBackend& solver, sat::CircuitEncoder& enc,
 
 EquivResult check_equivalence(const netlist::Netlist& a,
                               const netlist::Netlist& b,
-                              double timeout_seconds,
-                              const sat::SolverOptions& opts) {
+                              double timeout_seconds) {
     if (a.inputs().size() != b.inputs().size() ||
         a.outputs().size() != b.outputs().size())
         throw std::invalid_argument("check_equivalence: interface mismatch");
@@ -49,7 +48,7 @@ EquivResult check_equivalence(const netlist::Netlist& a,
             "check_equivalence: camouflaged netlists need a key "
             "(use check_key_equivalence)");
 
-    sat::Solver solver(opts);
+    sat::Solver solver;
     sat::CircuitEncoder enc(solver);
     const auto enc_a = enc.encode(a);
     const auto enc_b = enc.encode(b, enc_a.pis);
@@ -59,12 +58,11 @@ EquivResult check_equivalence(const netlist::Netlist& a,
 
 EquivResult check_key_equivalence(const netlist::Netlist& camo_nl,
                                   const camo::Key& key,
-                                  double timeout_seconds,
-                                  const sat::SolverOptions& opts) {
+                                  double timeout_seconds) {
     if (key.bits.size() != static_cast<std::size_t>(camo_nl.key_bit_count()))
         throw std::invalid_argument("check_key_equivalence: key size mismatch");
 
-    sat::Solver solver(opts);
+    sat::Solver solver;
     sat::CircuitEncoder enc(solver);
     // Copy A: key variables pinned to the candidate key.
     const auto enc_a = enc.encode(camo_nl);

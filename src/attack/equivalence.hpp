@@ -8,7 +8,6 @@
 
 #include "camo/key.hpp"
 #include "netlist/netlist.hpp"
-#include "sat/backend.hpp"
 
 namespace gshe::attack {
 
@@ -26,13 +25,11 @@ struct EquivResult {
 /// CDCL solver.
 EquivResult check_equivalence(const netlist::Netlist& a,
                               const netlist::Netlist& b,
-                              double timeout_seconds = 60.0,
-                              const sat::SolverOptions& opts = {});
+                              double timeout_seconds = 60.0);
 
 /// Checks whether `camo_nl` under `key` equals its own true functionality.
 EquivResult check_key_equivalence(const netlist::Netlist& camo_nl,
                                   const camo::Key& key,
-                                  double timeout_seconds = 60.0,
-                                  const sat::SolverOptions& opts = {});
+                                  double timeout_seconds = 60.0);
 
 }  // namespace gshe::attack

@@ -74,7 +74,7 @@ AttackResult run_single_dip_loop(const netlist::Netlist& camo_nl,
     AttackResult res;
     res.iterations = prior_iterations;
 
-    sat::Solver solver(options.solver);
+    sat::Solver solver;
     sat::CircuitEncoder encoder(solver);
     const auto enc1 = encoder.encode(camo_nl);
     const auto enc2 = encoder.encode(camo_nl, enc1.pis);

@@ -65,9 +65,9 @@ std::vector<bool> model_values(const sat::SolverBackend& solver,
                                const std::vector<sat::Var>& vars);
 
 /// Key extraction on the live miter solver: solves under {~guard} — which
-/// relaxes the guarded difference constraint while every agreement, learned
-/// clause and inprocessing fact persists — and reads the model of `keys` as
-/// a key consistent with every recorded observation. The solve shares the
+/// relaxes the guarded difference constraint while every agreement and
+/// learned clause persists — and reads the model of `keys` as a key
+/// consistent with every recorded observation. The solve shares the
 /// miter solver's cumulative conflict allowance. Returns std::nullopt on
 /// inconsistency or timeout; `timed_out` tells the two apart (the budget —
 /// wall clock or `max_conflicts` — ran out first). Counts the extraction

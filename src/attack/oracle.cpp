@@ -1,6 +1,5 @@
 #include "attack/oracle.hpp"
 
-#include <bit>
 #include <stdexcept>
 
 #include "common/timer.hpp"
@@ -13,12 +12,6 @@ void OracleStats::record(std::uint64_t batch_patterns, bool single,
     if (single) ++single_calls;
     patterns += batch_patterns;
     seconds += elapsed;
-    std::size_t bucket = 0;
-    if (batch_patterns > 0)
-        bucket = static_cast<std::size_t>(
-            std::bit_width(batch_patterns) - 1);  // floor(log2)
-    if (bucket >= kHistBuckets) bucket = kHistBuckets - 1;
-    ++batch_log2_hist[bucket];
 }
 
 const std::string& oracle_contract_name(OracleContract contract) {

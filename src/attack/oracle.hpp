@@ -30,7 +30,6 @@
 //   NonCacheable    responses are a fresh random draw every time; a memo
 //                   would silently change the experiment (StochasticOracle)
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -51,11 +50,6 @@ struct OracleStats {
     std::uint64_t single_calls = 0;  ///< of which single-pattern conveniences
     std::uint64_t patterns = 0;      ///< input patterns evaluated
     double seconds = 0.0;            ///< wall time spent inside evaluate()
-
-    /// Histogram of patterns-per-call: bucket b counts calls whose batch
-    /// size n satisfies floor(log2(n)) == b (last bucket: n >= 64).
-    static constexpr std::size_t kHistBuckets = 7;
-    std::array<std::uint64_t, kHistBuckets> batch_log2_hist{};
 
     void record(std::uint64_t batch_patterns, bool single, double elapsed);
 };

@@ -17,29 +17,6 @@ namespace {
 
 // ---- encode helpers ---------------------------------------------------------
 
-void write_solver_options(JsonWriter& w, const sat::Solver::Options& o) {
-    w.begin_object();
-    w.key("use_vsids");
-    w.value(o.use_vsids);
-    w.key("use_restarts");
-    w.value(o.use_restarts);
-    w.key("use_learning");
-    w.value(o.use_learning);
-    w.key("use_phase_saving");
-    w.value(o.use_phase_saving);
-    w.key("reduce_interval");
-    w.value(o.reduce_interval);
-    w.key("use_vivification");
-    w.value(o.use_vivification);
-    w.key("use_xor_recovery");
-    w.value(o.use_xor_recovery);
-    w.key("use_bve");
-    w.value(o.use_bve);
-    w.key("inprocess_interval");
-    w.value(o.inprocess_interval);
-    w.end_object();
-}
-
 void write_spec(JsonWriter& w, const JobSpec& spec) {
     w.begin_object();
     w.key("circuit");
@@ -87,8 +64,6 @@ void write_spec(JsonWriter& w, const JobSpec& spec) {
     w.value(spec.attack_options.verify_seed);
     w.key("appsat_error_threshold");
     w.value_full(spec.attack_options.appsat_error_threshold);
-    w.key("solver");
-    write_solver_options(w, spec.attack_options.solver);
     w.end_object();
     w.end_object();
 }
@@ -154,20 +129,10 @@ void write_result(JsonWriter& w, const JobResult& r) {
     w.value(r.result.solver_stats.learnt_clauses);
     w.key("removed_clauses");
     w.value(r.result.solver_stats.removed_clauses);
-    // Chronological-backtracking and inprocessing telemetry (additive; zero
-    // defaults keep older journal records decoding identically).
     w.key("chrono_backtracks");
     w.value(r.result.solver_stats.chrono_backtracks);
-    w.key("inprocessings");
-    w.value(r.result.solver_stats.inprocessings);
     w.key("gc_runs");
     w.value(r.result.solver_stats.gc_runs);
-    w.key("vivified_lits");
-    w.value(r.result.solver_stats.vivified_lits);
-    w.key("xors_recovered");
-    w.value(r.result.solver_stats.xors_recovered);
-    w.key("eliminated_vars");
-    w.value(r.result.solver_stats.eliminated_vars);
     w.end_object();
     // CNF-encoder telemetry.
     w.key("encoder_stats");
@@ -204,10 +169,6 @@ void write_result(JsonWriter& w, const JobResult& r) {
     w.value(r.oracle_stats.patterns);
     w.key("seconds");
     w.value_full(r.oracle_stats.seconds);
-    w.key("batch_log2_hist");
-    w.begin_array();
-    for (const auto count : r.oracle_stats.batch_log2_hist) w.value(count);
-    w.end_array();
     w.end_object();
     // Oracle-service fields (additive to journal v1; absent in older
     // records, which decode with the struct defaults). The first four are
@@ -308,25 +269,6 @@ std::optional<JobSpec> spec_from_value(const json::Value& v) {
         opt.verify_seed = u64_field(*o, "verify_seed", opt.verify_seed);
         opt.appsat_error_threshold = double_field(
             *o, "appsat_error_threshold", opt.appsat_error_threshold);
-        if (const json::Value* s = o->find("solver"); s && s->is_object()) {
-            opt.solver.use_vsids =
-                bool_field(*s, "use_vsids", opt.solver.use_vsids);
-            opt.solver.use_restarts =
-                bool_field(*s, "use_restarts", opt.solver.use_restarts);
-            opt.solver.use_learning =
-                bool_field(*s, "use_learning", opt.solver.use_learning);
-            opt.solver.use_phase_saving =
-                bool_field(*s, "use_phase_saving", opt.solver.use_phase_saving);
-            opt.solver.reduce_interval =
-                u64_field(*s, "reduce_interval", opt.solver.reduce_interval);
-            opt.solver.use_vivification = bool_field(
-                *s, "use_vivification", opt.solver.use_vivification);
-            opt.solver.use_xor_recovery = bool_field(
-                *s, "use_xor_recovery", opt.solver.use_xor_recovery);
-            opt.solver.use_bve = bool_field(*s, "use_bve", opt.solver.use_bve);
-            opt.solver.inprocess_interval = u64_field(
-                *s, "inprocess_interval", opt.solver.inprocess_interval);
-        }
     }
     return spec;
 }
@@ -374,15 +316,7 @@ std::optional<JobResult> result_from_value(const json::Value& v) {
             u64_field(*s, "removed_clauses");
         r.result.solver_stats.chrono_backtracks =
             u64_field(*s, "chrono_backtracks", 0);
-        r.result.solver_stats.inprocessings =
-            u64_field(*s, "inprocessings", 0);
         r.result.solver_stats.gc_runs = u64_field(*s, "gc_runs", 0);
-        r.result.solver_stats.vivified_lits =
-            u64_field(*s, "vivified_lits", 0);
-        r.result.solver_stats.xors_recovered =
-            u64_field(*s, "xors_recovered", 0);
-        r.result.solver_stats.eliminated_vars =
-            u64_field(*s, "eliminated_vars", 0);
     }
     if (const json::Value* e = a->find("encoder_stats"); e && e->is_object()) {
         sat::EncoderStats& es = r.result.encoder_stats;
@@ -402,14 +336,6 @@ std::optional<JobResult> result_from_value(const json::Value& v) {
         r.oracle_stats.single_calls = u64_field(*o, "single_calls");
         r.oracle_stats.patterns = u64_field(*o, "patterns");
         r.oracle_stats.seconds = double_field(*o, "seconds");
-        if (const json::Value* h = o->find("batch_log2_hist");
-            h && h->is_array()) {
-            const auto& items = h->items();
-            for (std::size_t b = 0;
-                 b < items.size() && b < r.oracle_stats.batch_log2_hist.size();
-                 ++b)
-                r.oracle_stats.batch_log2_hist[b] = items[b].as_u64();
-        }
     }
     r.oracle_contract = string_field(v, "oracle_contract");
     r.oracle_group = u64_field(v, "oracle_group");

@@ -54,7 +54,12 @@ namespace gshe::engine::checkpoint {
 /// kept their keys across all three changes, so older records — results of
 /// the retired extraction, the retired encoding or the backjump-only
 /// search — are skipped rather than resumed or merged into current results.
-inline constexpr std::uint64_t kJournalVersion = 4;
+/// Version 5: the solver has one configuration, so the spec loses its
+/// `options.solver` object (and every job key changes), and the result
+/// loses the inprocessing counters and the oracle's batch-size histogram.
+/// Version 4 records may hold a search under options that no longer
+/// exist; they are skipped too.
+inline constexpr std::uint64_t kJournalVersion = 5;
 
 /// Shard provenance stamped on every record (additive to version 1): which
 /// plan the job belongs to and which shard's journal it was written into.

@@ -149,11 +149,6 @@ std::string campaign_json(const CampaignResult& result) {
             w.value(j.oracle_stats.patterns);
             w.key("seconds");
             w.value(j.oracle_stats.seconds);
-            w.key("batch_log2_hist");
-            w.begin_array();
-            for (const auto count : j.oracle_stats.batch_log2_hist)
-                w.value(count);
-            w.end_array();
             w.key("contract");
             w.value(j.oracle_contract);
             w.key("group");

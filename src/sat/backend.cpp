@@ -6,12 +6,11 @@
 
 namespace gshe::sat {
 
-std::unique_ptr<SolverBackend> make_backend(const std::string& name,
-                                            const SolverOptions& opts) {
+std::unique_ptr<SolverBackend> make_backend(const std::string& name) {
     if (name != "internal")
         throw std::invalid_argument("unknown solver backend: " + name +
                                     " (the only backend is internal)");
-    return std::make_unique<Solver>(opts);
+    return std::make_unique<Solver>();
 }
 
 }  // namespace gshe::sat

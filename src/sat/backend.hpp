@@ -8,9 +8,12 @@
 // deterministic), so every campaign runs one solver whose conflict budget
 // makes each "t-o" cell of the paper's Table IV reproducible.
 //
-// The option/budget/stat structs live here rather than on sat::Solver
-// (which keeps nested aliases) so this header depends only on
-// sat/types.hpp.
+// The budget/stat structs live here rather than on sat::Solver (which
+// keeps nested aliases) so this header depends only on sat/types.hpp. The
+// solver has no options: its heuristic constants (VSIDS decays, Luby
+// restarts of base 128, learnt-DB reduction from 4096 learnt clauses, glue
+// LBD 2, chronological backtracking past 100 levels) are fixed in
+// sat/solver.hpp.
 
 #include <cstdint>
 #include <limits>
@@ -26,35 +29,12 @@ namespace gshe::sat {
 /// (the "t-o" semantics of the paper's Table IV).
 enum class SolveResult { Sat, Unsat, Unknown };
 
-/// Search configuration: feature toggles for the solver-ablation benchmark
-/// plus the learnt-DB and inprocessing schedules. The heuristic constants
-/// (VSIDS decays, Luby restarts of base 128, negative default phase, glue
-/// LBD 2) are fixed in sat/solver.hpp.
-struct SolverOptions {
-    bool use_vsids = true;        ///< false: pick lowest-index unassigned var
-    bool use_restarts = true;     ///< Luby restarts
-    bool use_learning = true;     ///< false: backtrack one level, no learnt DB
-    bool use_phase_saving = true; ///< false: always decide the negative phase
-    std::uint64_t reduce_interval = 4096;  ///< learnt clauses before 1st reduce
-
-    // Inprocessing passes (sat/solver.cpp inprocess()). All run at
-    // deterministic root-level points scheduled by conflict count, so any
-    // fixed configuration keeps the campaign byte-identity contract. All
-    // default off: the default search trajectory — and the golden CSVs —
-    // are reproduced bit for bit unless a pass is enabled.
-    bool use_vivification = false;  ///< assume-and-propagate clause shortening
-    bool use_xor_recovery = false;  ///< CNF XOR detection + GF(2) elimination
-    bool use_bve = false;           ///< bounded variable elimination
-    std::uint64_t inprocess_interval = 8192;  ///< conflicts between rounds
-};
-
-/// Resource budget. Conflict/propagation caps are cumulative over the
-/// solver's lifetime (matching the deterministic
-/// AttackOptions::max_conflicts contract); wall clock is per solve call.
+/// Resource budget. The conflict cap is cumulative over the solver's
+/// lifetime (matching the deterministic AttackOptions::max_conflicts
+/// contract); wall clock is per solve call.
 struct SolverBudget {
     double max_seconds = std::numeric_limits<double>::infinity();
     std::uint64_t max_conflicts = std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t max_propagations = std::numeric_limits<std::uint64_t>::max();
 };
 
 /// Cumulative solver work counters.
@@ -68,12 +48,7 @@ struct SolverStats {
     /// Learnt clauses asserted one level down instead of at the end of a
     /// backjump over more than Solver::kChronoLevels levels.
     std::uint64_t chrono_backtracks = 0;
-    // Inprocessing / clause-arena telemetry (zero when the passes are off).
-    std::uint64_t inprocessings = 0;     ///< inprocessing rounds run
-    std::uint64_t gc_runs = 0;           ///< clause-arena compactions
-    std::uint64_t vivified_lits = 0;     ///< literals removed by vivification
-    std::uint64_t xors_recovered = 0;    ///< XOR rows recovered from the CNF
-    std::uint64_t eliminated_vars = 0;   ///< variables eliminated by BVE
+    std::uint64_t gc_runs = 0;  ///< clause-arena compactions
 };
 
 /// Abstract incremental SAT solver: problem construction,
@@ -121,7 +96,6 @@ public:
 /// Creates the solver named `name`. "internal" (the CDCL solver of
 /// sat/solver.hpp) is the only name; any other throws
 /// std::invalid_argument.
-std::unique_ptr<SolverBackend> make_backend(const std::string& name,
-                                            const SolverOptions& opts = {});
+std::unique_ptr<SolverBackend> make_backend(const std::string& name);
 
 }  // namespace gshe::sat

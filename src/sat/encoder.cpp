@@ -73,11 +73,7 @@ void accumulate(SolverStats& into, const SolverStats& from) {
     into.learnt_clauses += from.learnt_clauses;
     into.removed_clauses += from.removed_clauses;
     into.chrono_backtracks += from.chrono_backtracks;
-    into.inprocessings += from.inprocessings;
     into.gc_runs += from.gc_runs;
-    into.vivified_lits += from.vivified_lits;
-    into.xors_recovered += from.xors_recovered;
-    into.eliminated_vars += from.eliminated_vars;
 }
 
 CircuitEncoder::CircuitEncoder(SolverBackend& solver) : solver_(solver) {}

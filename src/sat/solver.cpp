@@ -1,10 +1,6 @@
 #include "sat/solver.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
-#include <iterator>
-#include <map>
 #include <new>
 #include <stdexcept>
 #include <utility>
@@ -21,8 +17,6 @@ Var Solver::new_var() {
     heap_pos_.push_back(-1);
     polarity_.push_back(0);
     seen_.push_back(0);
-    eliminated_.push_back(0);
-    elim_pos_.push_back(-1);
     assume_mark_.push_back(0);
     assume_mark_.push_back(0);
     watches_.emplace_back();
@@ -31,18 +25,7 @@ Var Solver::new_var() {
     return v;
 }
 
-bool Solver::add_clause(Clause c) { return add_simplified(std::move(c)); }
-
-bool Solver::add_simplified(Clause c, ClauseRef* out) {
-    if (out != nullptr) *out = kNoReason;
-    if (!ok_) return false;
-    // A clause mentioning an eliminated variable reopens its elimination:
-    // restore the stored clauses first so the new clause constrains a live
-    // variable (BVE soundness for incremental use).
-    if (!elim_stack_.empty())
-        for (Lit l : c)
-            if (eliminated_[static_cast<std::size_t>(l.var())] != 0)
-                reintroduce(l.var());
+bool Solver::add_clause(Clause c) {
     if (!ok_) return false;
     // Root-level simplification: drop false/duplicate lits, detect tautology.
     std::sort(c.begin(), c.end());
@@ -77,9 +60,7 @@ bool Solver::add_simplified(Clause c, ClauseRef* out) {
         }
         return true;
     }
-    const ClauseRef cref = alloc_clause(simplified, /*learnt=*/false);
-    attach(cref);
-    if (out != nullptr) *out = cref;
+    attach(alloc_clause(simplified, /*learnt=*/false));
     return true;
 }
 
@@ -92,8 +73,7 @@ Solver::ClauseRef Solver::alloc_clause(const Clause& lits, bool learnt,
     const auto size = static_cast<std::uint32_t>(lits.size());
     grow_arena(words);  // the activity words read 0.0
     arena_[cref] = size;
-    arena_[cref + 1] = size;
-    arena_[cref + 2] =
+    arena_[cref + 1] =
         (static_cast<std::uint32_t>(lbd) << kLbdShift) | (learnt ? kLearntBit : 0);
     for (std::uint32_t k = 0; k < size; ++k) set_clause_lit(cref, k, lits[k]);
     ++num_clauses_;
@@ -115,12 +95,6 @@ void Solver::grow_arena(std::size_t words) {
     arena_ = {arena_block_.get(), need};
 }
 
-Clause Solver::clause_lits(ClauseRef cr) const {
-    Clause lits(clause_size(cr));
-    for (std::uint32_t k = 0; k < lits.size(); ++k) lits[k] = clause_lit(cr, k);
-    return lits;
-}
-
 void Solver::put_implied_first(ClauseRef reason, Var implied) {
     if (clause_size(reason) != 2 || clause_lit(reason, 0).var() == implied) return;
     const Lit other = clause_lit(reason, 0);
@@ -129,8 +103,6 @@ void Solver::put_implied_first(ClauseRef reason, Var implied) {
 }
 
 void Solver::attach(ClauseRef cref) {
-    // The flag follows the current size: vivification can shrink a clause
-    // to two literals.
     const ClauseRef tagged = clause_size(cref) == 2 ? cref | kBinaryWatch : cref;
     const Lit a = clause_lit(cref, 0);
     const Lit b = clause_lit(cref, 1);
@@ -276,7 +248,7 @@ void Solver::backtrack_to(int target_level) {
             kept = true;
             continue;
         }
-        if (opts_.use_phase_saving) polarity_[vi] = x.negated() ? 0 : 1;
+        polarity_[vi] = x.negated() ? 0 : 1;
         vals_[2 * vi] = LBool::Undef;
         vals_[2 * vi + 1] = LBool::Undef;
         reason_[vi] = kNoReason;
@@ -533,28 +505,12 @@ Var Solver::heap_pop() {
 }
 
 Lit Solver::pick_branch_lit() {
-    Var v = kNoVar;
-    if (opts_.use_vsids) {
-        while (!heap_.empty()) {
-            v = heap_pop();
-            if (value(v) == LBool::Undef &&
-                eliminated_[static_cast<std::size_t>(v)] == 0)
-                break;
-            v = kNoVar;
-        }
-    } else {
-        for (Var u = 0; u < num_vars(); ++u)
-            if (value(u) == LBool::Undef &&
-                eliminated_[static_cast<std::size_t>(u)] == 0) {
-                v = u;
-                break;
-            }
+    while (!heap_.empty()) {
+        const Var v = heap_pop();
+        if (value(v) == LBool::Undef)
+            return Lit(v, polarity_[static_cast<std::size_t>(v)] == 0);
     }
-    if (v == kNoVar) return kUndefLit;
-    // Without phase saving every decision takes the negative phase.
-    const bool phase = opts_.use_phase_saving &&
-                       polarity_[static_cast<std::size_t>(v)] != 0;
-    return Lit(v, !phase);
+    return kUndefLit;
 }
 
 // ---- learnt DB reduction ----------------------------------------------------
@@ -593,7 +549,7 @@ void Solver::reduce_learnt_db() {
 void Solver::delete_clause(ClauseRef cref) {
     if (is_deleted(cref)) return;
     detach(cref);
-    arena_[cref + 2] |= kDeletedBit;
+    arena_[cref + 1] |= kDeletedBit;
     --num_clauses_;
     ++tombstones_;
     ++stats_.removed_clauses;
@@ -601,15 +557,11 @@ void Solver::delete_clause(ClauseRef cref) {
 
 void Solver::garbage_collect() {
     if (tombstones_ == 0) return;
-    // The inprocessing passes tombstone learnts without touching learnts_
-    // bookkeeping; purge those entries before remapping.
-    learnts_.erase(std::remove_if(learnts_.begin(), learnts_.end(),
-                                  [&](ClauseRef cr) { return is_deleted(cr); }),
-                   learnts_.end());
-    // Slide every live clause down over the tombstones, trimming the slack
-    // vivification left behind. The order is preserved, so watcher
-    // traversal and reduce candidate order (and with them the search) are
-    // unchanged, and the survivors' old offsets stay sorted for the remap.
+    // Slide every live clause down over the tombstones. The order is
+    // preserved, so watcher traversal and reduce candidate order (and with
+    // them the search) are unchanged, and the survivors' old offsets stay
+    // sorted for the remap. reduce_learnt_db has already dropped the
+    // deleted clauses from learnts_.
     std::vector<std::pair<ClauseRef, ClauseRef>> moved;  // (old, new)
     moved.reserve(num_clauses_);
     ClauseRef out = 0;
@@ -620,7 +572,6 @@ void Solver::garbage_collect() {
             const std::uint32_t words = kHeaderWords + clause_size(cr);
             if (out != cr)
                 std::memmove(&arena_[out], &arena_[cr], words * sizeof(std::uint32_t));
-            arena_[out + 1] = arena_[out];  // extent = size
             out += words;
         }
         cr = next;
@@ -653,384 +604,6 @@ void Solver::maybe_gc() {
         garbage_collect();
 }
 
-// ---- inprocessing -----------------------------------------------------------
-//
-// All passes run at the root level with a clean trail and are pure
-// functions of the solver's own state, so any fixed configuration stays
-// deterministic across thread counts, shards, and resume points. Work done
-// here counts toward stats_.propagations (and thus the budget), never
-// toward stats_.conflicts — temporary vivification conflicts must not
-// perturb the restart/reduce/inprocess schedules.
-
-namespace {
-
-// Per-pass work bounds (constants, not options: they only cap pathological
-// instances and are far above anything the test/bench corpus reaches).
-constexpr std::uint64_t kVivifyPropBudget = 200000;  // propagations per pass
-constexpr std::size_t kXorMaxArity = 4;              // clause width for XOR detection
-constexpr std::size_t kBveMaxOccProduct = 100;       // |P|*|N| cap per candidate
-constexpr std::size_t kBveMaxResolventLen = 16;      // resolvent length cap
-
-}  // namespace
-
-void Solver::inprocess() {
-    // The passes want a propagated root, and backtracking to it leaves the
-    // root literals it kept queued.
-    if (propagate() != kNoReason) {
-        ok_ = false;
-        return;
-    }
-    // Root facts need no reasons (they are consequences of the formula
-    // alone); clearing them unlocks every clause for deletion and GC.
-    for (Lit l : trail_) reason_[static_cast<std::size_t>(l.var())] = kNoReason;
-    ++stats_.inprocessings;
-    if (opts_.use_vivification && ok_) vivify();
-    if (opts_.use_xor_recovery && ok_) recover_xors();
-    if (opts_.use_bve && ok_) eliminate_variables();
-    maybe_gc();
-}
-
-void Solver::vivify() {
-    // Assume-and-propagate shortening of long irredundant clauses: with the
-    // clause detached, assume the negation of a growing prefix. A literal
-    // already false under the prefix is redundant; a literal propagated true
-    // (or a conflict) proves the prefix alone is an implied clause.
-    std::vector<ClauseRef> candidates;
-    for (ClauseRef cr = 0; cr < arena_.size(); cr = next_clause(cr))
-        if (!is_deleted(cr) && !is_learnt(cr) && clause_size(cr) >= 3)
-            candidates.push_back(cr);
-    const std::uint64_t prop_limit = stats_.propagations + kVivifyPropBudget;
-    for (ClauseRef cr : candidates) {
-        if (!ok_ || stats_.propagations > prop_limit) return;
-        if (is_deleted(cr) || clause_size(cr) < 3) continue;
-        const Clause original = clause_lits(cr);
-        // Root-satisfied clauses are implied by unit facts: drop them.
-        if (std::any_of(original.begin(), original.end(),
-                        [&](Lit l) { return value(l) == LBool::True; })) {
-            delete_clause(cr);
-            continue;
-        }
-        detach(cr);
-        Clause kept;
-        for (Lit l : original) {
-            const LBool v = value(l);
-            if (v == LBool::False) continue;  // redundant under the prefix
-            kept.push_back(l);
-            if (v == LBool::True) break;  // prefix implies l: clause = kept
-            new_decision_level();
-            enqueue(~l, kNoReason, current_level());
-            if (propagate() != kNoReason) break;  // prefix refuted: clause = kept
-        }
-        backtrack_to(0);
-        if (kept.size() == original.size()) {
-            attach(cr);
-            continue;
-        }
-        stats_.vivified_lits += original.size() - kept.size();
-        if (kept.empty()) {
-            // Every literal false at the root: the formula is unsatisfiable.
-            delete_clause(cr);
-            ok_ = false;
-            return;
-        }
-        if (kept.size() == 1) {
-            delete_clause(cr);
-            if (value(kept[0]) == LBool::False) {
-                ok_ = false;
-                return;
-            }
-            if (value(kept[0]) == LBool::Undef) {
-                enqueue(kept[0], kNoReason, current_level());
-                if (propagate() != kNoReason) {
-                    ok_ = false;
-                    return;
-                }
-            }
-            continue;
-        }
-        // Shrink in place; the freed slots stay in the extent until GC.
-        arena_[cr] = static_cast<std::uint32_t>(kept.size());
-        for (std::uint32_t k = 0; k < kept.size(); ++k) set_clause_lit(cr, k, kept[k]);
-        attach(cr);
-    }
-}
-
-void Solver::recover_xors() {
-    // A k-ary XOR constraint hides in the CNF as the 2^(k-1) clauses over
-    // one variable set whose forbidden points share a parity. Recover those
-    // rows, forward-eliminate them over GF(2), then harvest the reduction:
-    // an inconsistent empty row refutes the formula, redundant rows delete
-    // their source clauses, and rows the elimination shrank to <= 3 vars
-    // re-encode as short clauses replacing their sources (units propagate
-    // immediately, pairs become equivalences). Rows the elimination left
-    // unchanged — or grew past the re-encode width — keep their original
-    // clause encoding, so the system stays logically equivalent throughout.
-    struct Row {
-        std::vector<Var> vars;  // sorted
-        bool rhs = false;
-        std::vector<ClauseRef> sources;
-    };
-    struct Bucket {
-        // mask bit i set = literal of the i-th (sorted) var is negated; the
-        // clause forbids exactly the point assigning each var its mask bit.
-        std::vector<std::pair<std::uint32_t, ClauseRef>> even, odd;
-    };
-    std::map<std::vector<Var>, Bucket> buckets;
-    std::vector<Var> vars;
-    for (ClauseRef cr = 0; cr < arena_.size(); cr = next_clause(cr)) {
-        if (is_deleted(cr) || is_learnt(cr) || clause_size(cr) < 2 ||
-            clause_size(cr) > kXorMaxArity)
-            continue;
-        const Clause lits = clause_lits(cr);
-        vars.clear();
-        bool assigned = false;
-        for (Lit l : lits) {
-            if (value(l) != LBool::Undef) {
-                assigned = true;
-                break;
-            }
-            vars.push_back(l.var());
-        }
-        if (assigned) continue;
-        std::sort(vars.begin(), vars.end());
-        std::uint32_t mask = 0;
-        int parity = 0;
-        for (Lit l : lits) {
-            if (!l.negated()) continue;
-            const auto pos = std::lower_bound(vars.begin(), vars.end(), l.var());
-            mask |= 1u << (pos - vars.begin());
-            parity ^= 1;
-        }
-        Bucket& b = buckets[vars];
-        (parity == 0 ? b.even : b.odd).emplace_back(mask, cr);
-    }
-
-    std::vector<Row> detected;
-    for (auto& [key, bucket] : buckets) {
-        const std::size_t need = std::size_t{1} << (key.size() - 1);
-        for (int parity = 0; parity < 2; ++parity) {
-            auto& entries = parity == 0 ? bucket.even : bucket.odd;
-            if (entries.size() < need) continue;
-            std::sort(entries.begin(), entries.end());
-            entries.erase(std::unique(entries.begin(), entries.end(),
-                                      [](const auto& a, const auto& b) {
-                                          return a.first == b.first;
-                                      }),
-                          entries.end());
-            if (entries.size() != need) continue;
-            // All same-parity points forbidden: the satisfying points have
-            // the opposite parity, i.e. XOR(vars) = parity ^ 1.
-            Row row;
-            row.vars = key;
-            row.rhs = parity == 0;
-            for (const auto& [mask, cr] : entries) row.sources.push_back(cr);
-            detected.push_back(std::move(row));
-            ++stats_.xors_recovered;
-        }
-    }
-    if (detected.empty()) return;
-
-    // Forward Gaussian elimination: reduce each row by the pivots found so
-    // far (pivot = smallest var of its reduced row). Detection order is the
-    // bucket-map order, so the whole pass is deterministic.
-    const auto xor_into = [](Row& r, const Row& pivot) {
-        std::vector<Var> merged;
-        std::set_symmetric_difference(r.vars.begin(), r.vars.end(),
-                                      pivot.vars.begin(), pivot.vars.end(),
-                                      std::back_inserter(merged));
-        r.vars = std::move(merged);
-        r.rhs = r.rhs != pivot.rhs;
-    };
-    const auto encode_mask = [&](const Row& r, std::uint32_t mask) {
-        Clause c;
-        for (std::size_t i = 0; i < r.vars.size(); ++i)
-            c.push_back(Lit(r.vars[i], (mask & (1u << i)) != 0));
-        add_simplified(std::move(c));
-    };
-    std::vector<Row> pivots;
-    std::map<Var, std::size_t> pivot_of;
-    for (Row& row : detected) {
-        Row reduced;
-        reduced.vars = row.vars;
-        reduced.rhs = row.rhs;
-        while (!reduced.vars.empty()) {
-            const auto it = pivot_of.find(reduced.vars.front());
-            if (it == pivot_of.end()) break;
-            xor_into(reduced, pivots[it->second]);
-        }
-        if (reduced.vars.empty()) {
-            if (reduced.rhs) {
-                ok_ = false;  // 1 = 0: the XOR system is inconsistent
-                return;
-            }
-            // Redundant row: its sources are implied by earlier rows.
-            for (ClauseRef cr : row.sources) delete_clause(cr);
-            continue;
-        }
-        pivot_of[reduced.vars.front()] = pivots.size();
-        const bool changed = reduced.vars != row.vars || reduced.rhs != row.rhs;
-        if (changed && reduced.vars.size() <= 3) {
-            for (ClauseRef cr : row.sources) delete_clause(cr);
-            // Clauses of the reduced row: every sign mask whose parity is
-            // rhs ^ 1 (its forbidden point has the wrong parity).
-            const auto width = static_cast<std::uint32_t>(reduced.vars.size());
-            for (std::uint32_t mask = 0; mask < (1u << width); ++mask) {
-                if ((std::popcount(mask) & 1) == (reduced.rhs ? 1 : 0)) continue;
-                encode_mask(reduced, mask);
-                if (!ok_) return;
-            }
-        }
-        pivots.push_back(std::move(reduced));
-    }
-}
-
-void Solver::eliminate_variables() {
-    // Bounded variable elimination by clause distribution: replace the
-    // clauses containing v with their non-tautological v-resolvents when
-    // that does not grow the clause count. Assumption variables of the
-    // running search are frozen; root-assigned and unused vars are skipped.
-    std::vector<std::vector<ClauseRef>> occ(watches_.size());
-    const auto add_occurrences = [&](ClauseRef cr) {
-        for (std::uint32_t k = 0; k < clause_size(cr); ++k)
-            occ[static_cast<std::size_t>(clause_lit(cr, k).code())].push_back(cr);
-    };
-    for (ClauseRef cr = 0; cr < arena_.size(); cr = next_clause(cr))
-        if (!is_deleted(cr)) add_occurrences(cr);
-    std::vector<Clause> resolvents;
-    for (Var v = 0; v < num_vars() && ok_; ++v) {
-        const auto vi = static_cast<std::size_t>(v);
-        if (eliminated_[vi] != 0 || value(v) != LBool::Undef) continue;
-        const Lit pos(v, false);
-        const Lit neg(v, true);
-        if (is_assumption(pos) || is_assumption(neg)) continue;
-        std::vector<ClauseRef> p_refs, n_refs;
-        for (ClauseRef cr : occ[static_cast<std::size_t>(pos.code())])
-            if (!is_deleted(cr) && !is_learnt(cr)) p_refs.push_back(cr);
-        for (ClauseRef cr : occ[static_cast<std::size_t>(neg.code())])
-            if (!is_deleted(cr) && !is_learnt(cr)) n_refs.push_back(cr);
-        if (p_refs.empty() && n_refs.empty()) continue;  // unused var
-        if (p_refs.size() * n_refs.size() > kBveMaxOccProduct) continue;
-
-        // Distribute: every P x N resolvent, tautologies dropped; bail out
-        // if the result would outgrow the clauses it replaces.
-        resolvents.clear();
-        bool too_big = false;
-        for (ClauseRef pr : p_refs) {
-            for (ClauseRef nr : n_refs) {
-                Clause r;
-                for (std::uint32_t k = 0; k < clause_size(pr); ++k)
-                    if (clause_lit(pr, k) != pos) r.push_back(clause_lit(pr, k));
-                for (std::uint32_t k = 0; k < clause_size(nr); ++k)
-                    if (clause_lit(nr, k) != neg) r.push_back(clause_lit(nr, k));
-                std::sort(r.begin(), r.end());
-                r.erase(std::unique(r.begin(), r.end()), r.end());
-                bool taut = false;
-                for (std::size_t i = 0; i + 1 < r.size(); ++i)
-                    if (r[i] == ~r[i + 1]) {
-                        taut = true;
-                        break;
-                    }
-                if (taut) continue;
-                if (r.size() > kBveMaxResolventLen) {
-                    too_big = true;
-                    break;
-                }
-                resolvents.push_back(std::move(r));
-                if (resolvents.size() > p_refs.size() + n_refs.size()) {
-                    too_big = true;
-                    break;
-                }
-            }
-            if (too_big) break;
-        }
-        if (too_big) continue;
-
-        // Commit: stash the defining clauses for model reconstruction and
-        // reintroduction, delete every clause containing v (learnts
-        // included — they are implied, hence deletable), add the resolvents.
-        ElimEntry entry;
-        entry.v = v;
-        for (ClauseRef cr : p_refs) entry.clauses.push_back(clause_lits(cr));
-        for (ClauseRef cr : n_refs) entry.clauses.push_back(clause_lits(cr));
-        for (const Lit l : {pos, neg})
-            for (ClauseRef cr : occ[static_cast<std::size_t>(l.code())])
-                delete_clause(cr);
-        eliminated_[vi] = 1;
-        elim_pos_[vi] = static_cast<int>(elim_stack_.size());
-        elim_stack_.push_back(std::move(entry));
-        ++stats_.eliminated_vars;
-        for (Clause& r : resolvents) {
-            ClauseRef added = kNoReason;
-            if (!add_simplified(std::move(r), &added))
-                return;  // root conflict: ok_ is false
-            if (added != kNoReason) add_occurrences(added);
-        }
-    }
-}
-
-void Solver::reintroduce(Var v) {
-    // Restoring v's stored clauses may mention further eliminated vars:
-    // collect the whole cascade first (clearing the flags so add_simplified
-    // below does not recurse), then re-add every stored clause.
-    std::vector<std::size_t> entries;
-    std::vector<Var> work{v};
-    while (!work.empty()) {
-        const Var u = work.back();
-        work.pop_back();
-        const auto ui = static_cast<std::size_t>(u);
-        if (eliminated_[ui] == 0) continue;
-        eliminated_[ui] = 0;
-        const auto pos = static_cast<std::size_t>(elim_pos_[ui]);
-        elim_pos_[ui] = -1;
-        elim_stack_[pos].live = false;
-        entries.push_back(pos);
-        for (const Clause& c : elim_stack_[pos].clauses)
-            for (Lit l : c)
-                if (eliminated_[static_cast<std::size_t>(l.var())] != 0)
-                    work.push_back(l.var());
-        if (!heap_contains(u) && value(u) == LBool::Undef) heap_insert(u);
-    }
-    std::sort(entries.begin(), entries.end());
-    for (std::size_t pos : entries)
-        for (Clause& c : elim_stack_[pos].clauses)
-            if (!add_simplified(std::move(c))) return;  // ok_ is false
-    // Dead tail entries can go; interior ones keep their stack positions.
-    while (!elim_stack_.empty() && !elim_stack_.back().live)
-        elim_stack_.pop_back();
-}
-
-void Solver::extend_model() {
-    // Replay the elimination stack newest-first: by construction an entry's
-    // stored clauses only mention vars that are live or were eliminated
-    // later (and thus already have model values), so each v just needs to
-    // satisfy whichever of its stored clauses the rest of the model does
-    // not. BVE soundness (the resolvents stayed in the formula) guarantees
-    // no two clauses force opposite values.
-    for (auto it = elim_stack_.rbegin(); it != elim_stack_.rend(); ++it) {
-        if (!it->live) continue;
-        const auto vi = static_cast<std::size_t>(it->v);
-        LBool val = LBool::False;
-        for (const Clause& c : it->clauses) {
-            bool satisfied = false;
-            Lit vlit = kUndefLit;
-            for (Lit l : c) {
-                if (l.var() == it->v) {
-                    vlit = l;
-                    continue;
-                }
-                const LBool mv = model_[static_cast<std::size_t>(l.var())];
-                if (mv == (l.negated() ? LBool::False : LBool::True)) {
-                    satisfied = true;
-                    break;
-                }
-            }
-            if (!satisfied && vlit != kUndefLit)
-                val = vlit.negated() ? LBool::False : LBool::True;
-        }
-        model_[vi] = val;
-    }
-}
-
 // ---- main search ------------------------------------------------------------
 
 std::uint64_t Solver::luby(std::uint64_t x) {
@@ -1051,7 +624,6 @@ std::uint64_t Solver::luby(std::uint64_t x) {
 
 bool Solver::budget_exhausted() const {
     if (stats_.conflicts > budget_.max_conflicts) return true;
-    if (stats_.propagations > budget_.max_propagations) return true;
     // Wall-clock checks are throttled by the caller (every 1024 conflicts).
     return solve_timer_.seconds() > budget_.max_seconds;
 }
@@ -1067,32 +639,20 @@ Solver::Result Solver::solve(const std::vector<Lit>& assumptions) {
 
 Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
     backtrack_to(0);
-    // Mark this search's assumption literals (mid-search assumption-conflict
-    // detection + BVE freezing) and reopen any eliminated assumption var.
+    // Mark this search's assumption literals for the mid-search
+    // assumption-conflict check.
     for (const std::int32_t code : assume_marked_codes_)
         assume_mark_[static_cast<std::size_t>(code)] = 0;
     assume_marked_codes_.clear();
     for (const Lit a : assumptions) {
         assume_mark_[static_cast<std::size_t>(a.code())] = 1;
         assume_marked_codes_.push_back(a.code());
-        if (eliminated_[static_cast<std::size_t>(a.var())] != 0)
-            reintroduce(a.var());
-    }
-    if (!ok_) return Result::Unsat;
-    if (inprocessing_enabled() && stats_.conflicts >= next_inprocess_) {
-        inprocess();
-        if (!ok_) return Result::Unsat;
-        next_inprocess_ = stats_.conflicts + opts_.inprocess_interval;
     }
 
     std::uint64_t restart_count = 0;
-    // No-restart mode wants an unreachable threshold; compute the sentinel
-    // directly instead of multiplying into a mod-2^64 wrap.
-    std::uint64_t conflicts_until_restart =
-        opts_.use_restarts ? kRestartBase * luby(restart_count)
-                           : std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t conflicts_until_restart = kRestartBase * luby(restart_count);
     std::uint64_t conflicts_this_restart = 0;
-    std::uint64_t next_reduce = opts_.reduce_interval;
+    std::uint64_t next_reduce = kReduceBase;
     std::uint64_t last_budget_check = 0;
 
     while (true) {
@@ -1102,8 +662,7 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
             ++conflicts_this_restart;
             // Chronological backtracking keeps literals below the current
             // level on the trail, so a conflict can sit below it.
-            const int conflict_level =
-                opts_.use_learning ? max_level(conflict, 0) : current_level();
+            const int conflict_level = max_level(conflict, 0);
             if (conflict_level == 0) {
                 // Root conflict: the formula itself is refuted (assumptions
                 // live on decision levels >= 1). Latch ok_ so later
@@ -1114,18 +673,7 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                 return Result::Unsat;
             }
 
-            if (!opts_.use_learning) {
-                // Chronological backtracking without learning.
-                if (current_level() <= static_cast<int>(assumptions.size()))
-                    return Result::Unsat;
-                const Lit flipped = trail_[static_cast<std::size_t>(
-                    trail_lim_.back())];
-                backtrack_to(current_level() - 1);
-                if (value(~flipped) == LBool::Undef)
-                    enqueue(~flipped, kNoReason, current_level());
-                else
-                    return Result::Unsat;
-            } else if (!backtrack_to_conflict(conflict, conflict_level)) {
+            if (!backtrack_to_conflict(conflict, conflict_level)) {
                 Clause learnt;
                 int bt_level = 0;
                 analyze(conflict, learnt, bt_level);
@@ -1179,24 +727,15 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                 last_budget_check = stats_.conflicts;
                 if (budget_exhausted()) return Result::Unknown;
             }
-            if (opts_.use_restarts &&
-                conflicts_this_restart >= conflicts_until_restart) {
+            if (conflicts_this_restart >= conflicts_until_restart) {
                 ++stats_.restarts;
                 ++restart_count;
                 conflicts_this_restart = 0;
                 conflicts_until_restart = kRestartBase * luby(restart_count);
                 backtrack_to(0);
-                if (inprocessing_enabled() &&
-                    stats_.conflicts >= next_inprocess_) {
-                    inprocess();
-                    if (!ok_) return Result::Unsat;
-                    next_inprocess_ = stats_.conflicts + opts_.inprocess_interval;
-                }
             }
-            if (opts_.use_learning && stats_.learnt_clauses >= next_reduce) {
-                // Geometric growth by 1.5; the floor of 1 keeps a tiny
-                // reduce_interval from stalling the schedule.
-                next_reduce += std::max<std::uint64_t>(1, next_reduce / 2);
+            if (stats_.learnt_clauses >= next_reduce) {
+                next_reduce += next_reduce / 2;
                 reduce_learnt_db();
                 maybe_gc();  // safe: no local ClauseRef survives to here
             }
@@ -1219,12 +758,9 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
 
         const Lit next = pick_branch_lit();
         if (next == kUndefLit) {
-            // Full model found; BVE-eliminated vars get their values from
-            // the stored-clause replay.
             model_.resize(static_cast<std::size_t>(num_vars()));
             for (Var v = 0; v < num_vars(); ++v)
                 model_[static_cast<std::size_t>(v)] = value(v);
-            if (!elim_stack_.empty()) extend_model();
             backtrack_to(0);
             return Result::Sat;
         }

@@ -16,20 +16,15 @@
 // Additions for this project:
 //  * solve() takes assumptions, enabling the incremental DIP loop without
 //    re-encoding the miter each iteration.
-//  * A resource budget (wall-clock seconds / conflicts / propagations);
-//    exceeding it returns Result::Unknown — exactly the "t-o" semantics of
-//    Table IV.
-//  * Feature toggles (VSIDS / restarts / learning / phase saving) for the
-//    solver-ablation benchmark.
-//  * An inprocessing pipeline (clause vivification, XOR recovery with GF(2)
-//    elimination, bounded variable elimination with model reconstruction),
-//    scheduled at root-level points by conflict count and gated per pass by
-//    SolverOptions, on top of a compacting clause arena (garbage_collect).
+//  * A resource budget (wall-clock seconds / conflicts); exceeding it
+//    returns Result::Unknown — exactly the "t-o" semantics of Table IV.
+//  * One search: the heuristic constants below are fixed, so every
+//    campaign, golden and benchmark runs the same deterministic solver.
 //
 // Data layout, chosen for propagate(), which is most of the runtime:
 //  * Clauses live inline in one flat array of 32-bit words: a header (size,
-//    extent, learnt/deleted flags with the LBD, activity) followed by the
-//    literal codes. A ClauseRef is a word offset, so a clause visit is one
+//    learnt/deleted flags with the LBD, activity) followed by the literal
+//    codes. A ClauseRef is a word offset, so a clause visit is one
 //    dependent load. garbage_collect slides the live clauses down in order.
 //  * A two-literal clause is settled from its watcher alone: the watcher's
 //    cref carries a flag and its blocker is the other literal.
@@ -44,8 +39,8 @@
 // one.)
 //
 // Solver is the only implementation of the abstract sat::SolverBackend
-// interface (sat/backend.hpp). The nested Options/Budget/Stats/Result
-// names are aliases for the backend-layer types.
+// interface (sat/backend.hpp). The nested Budget/Stats/Result names are
+// aliases for the backend-layer types.
 
 #include <cstdint>
 #include <cstdlib>
@@ -64,12 +59,10 @@ namespace gshe::sat {
 class Solver final : public SolverBackend {
 public:
     using Result = SolveResult;
-    using Options = SolverOptions;
     using Budget = SolverBudget;
     using Stats = SolverStats;
 
-    Solver() : Solver(Options{}) {}
-    explicit Solver(Options opts) : opts_(opts) {}
+    Solver() = default;
     // Not copyable: arena_ views the block this object owns.
     Solver(const Solver&) = delete;
     Solver& operator=(const Solver&) = delete;
@@ -101,16 +94,14 @@ public:
 private:
     // ---- clause arena --------------------------------------------------------
     // Each clause is a run of words in arena_:
-    //   [0]     size    literals in use
-    //   [1]     extent  literal slots allocated; vivification shrinks a
-    //                   clause in place, so walking the arena steps by extent
-    //   [2]     flags   kLearntBit | kDeletedBit | LBD << kLbdShift
-    //   [3..4]  activity, a double copied in and out with std::memcpy
-    //   [5..]   literal codes (Lit::code())
+    //   [0]     size    literals
+    //   [1]     flags   kLearntBit | kDeletedBit | LBD << kLbdShift
+    //   [2..3]  activity, a double copied in and out with std::memcpy
+    //   [4..]   literal codes (Lit::code())
     // A ClauseRef is the word offset of a header.
     using ClauseRef = std::uint32_t;
     static constexpr ClauseRef kNoReason = std::numeric_limits<ClauseRef>::max();
-    static constexpr std::uint32_t kHeaderWords = 5;
+    static constexpr std::uint32_t kHeaderWords = 4;
     static constexpr std::uint32_t kLearntBit = 1;
     static constexpr std::uint32_t kDeletedBit = 2;
     static constexpr std::uint32_t kLbdShift = 2;
@@ -125,20 +116,20 @@ private:
 
     std::uint32_t clause_size(ClauseRef cr) const { return arena_[cr]; }
     ClauseRef next_clause(ClauseRef cr) const {
-        return cr + kHeaderWords + arena_[cr + 1];
+        return cr + kHeaderWords + arena_[cr];
     }
-    bool is_learnt(ClauseRef cr) const { return (arena_[cr + 2] & kLearntBit) != 0; }
-    bool is_deleted(ClauseRef cr) const { return (arena_[cr + 2] & kDeletedBit) != 0; }
+    bool is_learnt(ClauseRef cr) const { return (arena_[cr + 1] & kLearntBit) != 0; }
+    bool is_deleted(ClauseRef cr) const { return (arena_[cr + 1] & kDeletedBit) != 0; }
     std::int32_t clause_lbd(ClauseRef cr) const {
-        return static_cast<std::int32_t>(arena_[cr + 2] >> kLbdShift);
+        return static_cast<std::int32_t>(arena_[cr + 1] >> kLbdShift);
     }
     double activity(ClauseRef cr) const {
         double a;
-        std::memcpy(&a, &arena_[cr + 3], sizeof a);
+        std::memcpy(&a, &arena_[cr + 2], sizeof a);
         return a;
     }
     void set_activity(ClauseRef cr, double a) {
-        std::memcpy(&arena_[cr + 3], &a, sizeof a);
+        std::memcpy(&arena_[cr + 2], &a, sizeof a);
     }
     Lit clause_lit(ClauseRef cr, std::uint32_t k) const {
         return lit_of(arena_[cr + kHeaderWords + k]);
@@ -146,7 +137,6 @@ private:
     void set_clause_lit(ClauseRef cr, std::uint32_t k, Lit l) {
         arena_[cr + kHeaderWords + k] = word_of(l);
     }
-    Clause clause_lits(ClauseRef cr) const;
     /// A binary reason is enqueued from its watcher, which leaves the
     /// arena order as it was; put the literal of `implied` first, where
     /// conflict analysis expects a reason's implied literal.
@@ -178,23 +168,16 @@ private:
     /// moving the watchers of a long clause with it.
     void place_in_watch(ClauseRef cr, std::uint32_t slot, std::uint32_t k);
     void unwatch(Lit l, ClauseRef cr);
-    /// Backtracks to the level of a learning-mode conflict, which may sit
-    /// below current_level(). Returns true when one literal of the
-    /// conflict is on that level: it is then enqueued with the conflict as
-    /// reason and there is nothing to learn.
+    /// Backtracks to the level of a conflict, which may sit below
+    /// current_level(). Returns true when one literal of the conflict is on
+    /// that level: it is then enqueued with the conflict as reason and
+    /// there is nothing to learn.
     bool backtrack_to_conflict(ClauseRef conflict, int conflict_level);
 
     // Conflict analysis.
     void analyze(ClauseRef conflict, Clause& learnt, int& backtrack_level);
     bool literal_redundant(Lit l, std::uint32_t abstract_levels);
     std::int32_t compute_lbd(const Clause& c);
-
-    // Shared root-level simplification behind add_clause and the
-    // inprocessing passes. Sorts, drops false/duplicate literals,
-    // detects tautologies, handles the unit/empty cases, and reintroduces
-    // eliminated variables the clause mentions. `out` (optional) receives
-    // the allocated ClauseRef, or kNoReason when no clause was stored.
-    bool add_simplified(Clause c, ClauseRef* out = nullptr);
 
     // Decision heuristic.
     void bump_var(Var v);
@@ -218,24 +201,11 @@ private:
 
     // Clause arena: delete_clause detaches + tombstones (idempotent);
     // garbage_collect compacts arena_ and rewrites every stored ClauseRef
-    // (watchers, reasons, learnts_). Only call GC from points that hold no
-    // local ClauseRef.
+    // (watchers, reasons, learnts_). Only learnt reduction deletes clauses,
+    // and GC runs only after it, from a point that holds no local ClauseRef.
     void delete_clause(ClauseRef cref);
     void garbage_collect();
     void maybe_gc();
-
-    // Inprocessing (vivification / XOR recovery / BVE), run at root-level
-    // points scheduled by stats_.conflicts against next_inprocess_.
-    bool inprocessing_enabled() const {
-        return opts_.use_vivification || opts_.use_xor_recovery ||
-               opts_.use_bve;
-    }
-    void inprocess();
-    void vivify();
-    void recover_xors();
-    void eliminate_variables();
-    void reintroduce(Var v);
-    void extend_model();
 
     bool is_assumption(Lit l) const {
         const auto code = static_cast<std::size_t>(l.code());
@@ -251,13 +221,15 @@ private:
     static constexpr double kVarDecay = 0.95;
     static constexpr double kClauseDecay = 0.999;
     static constexpr std::uint64_t kRestartBase = 128;  ///< conflicts per Luby unit
+    /// Learnt clauses before the first learnt-DB reduction; the threshold
+    /// grows by half at each reduction.
+    static constexpr std::uint64_t kReduceBase = 4096;
     /// A learnt clause that would backjump over more than this many levels
     /// backtracks one level instead: the threshold T of Nadel & Ryvchin,
     /// "Chronological Backtracking" (SAT 2018), at the value they ran.
     static constexpr int kChronoLevels = 100;
     static constexpr std::int32_t kGlueKeepLbd = 2;     ///< reduce never drops LBD <= this
 
-    Options opts_;
     Budget budget_;
     Stats stats_;
     Timer solve_timer_;
@@ -312,24 +284,9 @@ private:
     std::uint64_t lbd_stamp_ = 0;
 
     // Assumption-literal marks for the current search (indexed by
-    // Lit::code()), used by the mid-search assumption-conflict check and to
-    // freeze assumption variables against BVE.
+    // Lit::code()), used by the mid-search assumption-conflict check.
     std::vector<char> assume_mark_;
     std::vector<std::int32_t> assume_marked_codes_;
-
-    // Bounded variable elimination: eliminated vars leave the clause DB and
-    // the decision heuristic; their defining clauses live on this stack for
-    // model reconstruction (extend_model) and reintroduction (a later
-    // clause/assumption mentioning the var restores them).
-    struct ElimEntry {
-        Var v = kNoVar;
-        std::vector<Clause> clauses;  // irredundant clauses removed with v
-        bool live = true;
-    };
-    std::vector<ElimEntry> elim_stack_;
-    std::vector<char> eliminated_;  // per-var: currently eliminated
-    std::vector<int> elim_pos_;     // var -> live elim_stack_ index, -1
-    std::uint64_t next_inprocess_ = 0;
 
     std::vector<LBool> model_;  // snapshot of the last satisfying assignment
 

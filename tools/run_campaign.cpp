@@ -78,8 +78,6 @@ struct Cli {
     std::vector<std::string> circuits = {"ex1010", "c7552"};
     std::vector<std::string> defenses = {"camo", "sarlock", "stochastic"};
     std::vector<std::string> attacks = {"sat", "double_dip"};
-    std::vector<std::string> inprocess;  // of: viv, xor, bve
-    std::uint64_t inprocess_interval = 8192;
     int n_seeds = 2;
     double fraction = 0.05;
     std::string library = "gshe16";
@@ -108,14 +106,6 @@ void usage() {
         "  --defenses=k,...   defense kinds (default camo,sarlock,stochastic;\n"
         "                     also: delay_aware, dynamic)\n"
         "  --attacks=a,...    attacks (default sat,double_dip; also: appsat)\n"
-        "  --inprocess=p,...  solver inprocessing passes: viv\n"
-        "                     (clause vivification), xor (XOR recovery +\n"
-        "                     GF(2) elimination), bve (bounded variable\n"
-        "                     elimination). Default: none. Any fixed set\n"
-        "                     keeps campaign CSVs byte-identical across\n"
-        "                     threads/shards/resume\n"
-        "  --inprocess-interval=N  conflicts between inprocessing rounds\n"
-        "                     (default 8192)\n"
         "  --seeds=N          replications with seeds 1..N (default 2)\n"
         "  --fraction=F       protected gate fraction (default 0.05)\n"
         "  --library=NAME     camouflage cell library (default gshe16)\n"
@@ -243,6 +233,10 @@ bool parse(Cli& cli, int argc, char** argv, bool& exit_ok) {
             return arg.rfind(p, 0) == 0;
         };
         const auto val = [&] { return arg.substr(arg.find('=') + 1); };
+        const auto unknown = [&] {
+            std::fprintf(stderr, "run_campaign: unknown flag '%s'\n", arg.c_str());
+            return false;
+        };
         if (arg == "--help" || arg == "-h") {
             usage();
             exit_ok = true;
@@ -257,13 +251,11 @@ bool parse(Cli& cli, int argc, char** argv, bool& exit_ok) {
         if (arg == "--quiet") { cli.quiet = true; continue; }
         if (arg == "--resume") { cli.resume = true; continue; }
         if (arg == "--dry-run") { cli.dry_run = true; continue; }
-        if (arg.find('=') == std::string::npos) return false;
+        if (arg.find('=') == std::string::npos) return unknown();
         if (starts("--threads=")) cli.threads = int_flag("--threads", val(), 0, 4096);
         else if (starts("--circuits=")) cli.circuits = split(val(), ',');
         else if (starts("--defenses=")) cli.defenses = split(val(), ',');
         else if (starts("--attacks=")) cli.attacks = split(val(), ',');
-        else if (starts("--inprocess=")) cli.inprocess = split(val(), ',');
-        else if (starts("--inprocess-interval=")) cli.inprocess_interval = u64_flag("--inprocess-interval", val());
         else if (starts("--seeds=")) cli.n_seeds = int_flag("--seeds", val(), 1, 1 << 20);
         else if (starts("--fraction=")) cli.fraction = double_flag("--fraction", val(), 0.0, 1.0);
         else if (starts("--library=")) cli.library = val();
@@ -278,7 +270,7 @@ bool parse(Cli& cli, int argc, char** argv, bool& exit_ok) {
         else if (starts("--csv=")) cli.csv_path = val();
         else if (starts("--json=")) cli.json_path = val();
         else if (starts("--checkpoint=")) cli.checkpoint_path = val();
-        else return false;
+        else return unknown();
     }
     return true;
 }
@@ -396,18 +388,6 @@ int main(int argc, char** argv) {
     attack::AttackOptions attack_options;
     attack_options.timeout_seconds = cli.timeout_seconds;
     attack_options.max_conflicts = cli.max_conflicts;
-    attack_options.solver.inprocess_interval = cli.inprocess_interval;
-    for (const auto& pass : cli.inprocess) {
-        if (pass == "viv") attack_options.solver.use_vivification = true;
-        else if (pass == "xor") attack_options.solver.use_xor_recovery = true;
-        else if (pass == "bve") attack_options.solver.use_bve = true;
-        else if (!pass.empty()) {
-            std::fprintf(stderr,
-                         "--inprocess: unknown pass '%s' (viv, xor, bve)\n",
-                         pass.c_str());
-            return 2;
-        }
-    }
 
     const std::vector<JobSpec> jobs = CampaignRunner::cross_product(
         cli.circuits, defenses, cli.attacks, seeds, attack_options);

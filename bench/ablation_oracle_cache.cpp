@@ -5,13 +5,17 @@
 //
 // The same campaign runs twice — --oracle-cache=off then on — over a matrix
 // whose defense uses a pinned protect_seed, putting all jobs of a circuit
-// into one defense-instance sharing group. Expected: the deterministic CSV
-// is byte-identical across modes (the memo may never change results, only
-// cost), while the number of oracle batches that actually reach the
-// bit-parallel simulator drops sharply — the SAT attack re-derives largely
-// the same DIP sequence for every seed replicate, and with the memo on only
-// the first job pays for it. BENCH_oracle_cache.json records both modes
-// (wall-seconds and oracle-pattern counts) as the perf-trajectory point.
+// into one defense-instance sharing group. The seed replicates of the SAT
+// attack do not query at all: it ignores the seed, so the engine runs it
+// once per instance and copies the result. AppSAT reads its seed, so each
+// replicate runs and queries, re-deriving largely the DIP sequence of the
+// SAT run and of the other replicates before their random settlement
+// samples diverge. Expected: the deterministic CSV is byte-identical across
+// modes (the memo may never change results, only cost), while the number
+// of oracle batches that actually reach the bit-parallel simulator drops:
+// with the memo on, only the first job to issue a query pays for it.
+// BENCH_oracle_cache.json records both modes (wall-seconds and
+// oracle-pattern counts) as the perf-trajectory point.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -35,8 +39,9 @@ int main() {
     constexpr std::uint64_t kMaxConflicts = 30000;
 
     // One circuit, one pinned defense instance, {2 attacks x 3 seeds} = 6
-    // jobs in a single sharing group (plus nothing else, so every saving in
-    // the numbers below is the memo's doing).
+    // jobs in a single sharing group, of which the SAT attack runs once
+    // (plus nothing else, so every saving in the numbers below is the
+    // memo's doing).
     DefenseConfig defense;
     defense.kind = "camo";
     defense.library = "gshe16";
@@ -46,7 +51,7 @@ int main() {
     attack_options.timeout_seconds = timeout;
     attack_options.max_conflicts = kMaxConflicts;
     const std::vector<JobSpec> jobs = CampaignRunner::cross_product(
-        {"c7552"}, {defense}, {"sat", "double_dip"}, {1, 2, 3},
+        {"c7552"}, {defense}, {"sat", "appsat"}, {1, 2, 3},
         attack_options);
 
     std::vector<bench::OracleCacheModeSummary> modes;

@@ -16,11 +16,16 @@ using RunFn = AttackResult (*)(const netlist::Netlist&, Oracle&,
 
 class RegisteredAttack final : public Attack {
 public:
-    RegisteredAttack(std::string name, std::string label, RunFn fn)
-        : name_(std::move(name)), label_(std::move(label)), fn_(fn) {}
+    RegisteredAttack(std::string name, std::string label, bool reads_seed,
+                     RunFn fn)
+        : name_(std::move(name)),
+          label_(std::move(label)),
+          reads_seed_(reads_seed),
+          fn_(fn) {}
 
     const std::string& name() const override { return name_; }
     const std::string& label() const override { return label_; }
+    bool reads_seed() const override { return reads_seed_; }
 
     AttackResult run(const netlist::Netlist& camo_nl, Oracle& oracle,
                      const AttackOptions& options) const override {
@@ -30,6 +35,7 @@ public:
 private:
     std::string name_;
     std::string label_;
+    bool reads_seed_;
     RunFn fn_;
 };
 
@@ -46,11 +52,12 @@ const std::vector<std::unique_ptr<Attack>>& registry() {
     static const auto* attacks = [] {
         auto* v = new std::vector<std::unique_ptr<Attack>>();
         v->push_back(std::make_unique<RegisteredAttack>(
-            "sat", "SAT [8]", &sat_attack));
+            "sat", "SAT [8]", /*reads_seed=*/false, &sat_attack));
         v->push_back(std::make_unique<RegisteredAttack>(
-            "appsat", "AppSAT [11]", &run_appsat));
+            "appsat", "AppSAT [11]", /*reads_seed=*/true, &run_appsat));
         v->push_back(std::make_unique<RegisteredAttack>(
-            "double_dip", "Double DIP [12]", &double_dip_attack));
+            "double_dip", "Double DIP [12]", /*reads_seed=*/false,
+            &double_dip_attack));
         return v;
     }();
     return *attacks;

@@ -11,7 +11,10 @@
 //
 // Every registered attack honours AttackOptions — including the
 // deterministic max_conflicts budget — and returns the common AttackResult,
-// so job matrices can mix attacks freely.
+// so job matrices can mix attacks freely. Each also declares whether it
+// reads AttackOptions::seed: the exact attacks (sat, double_dip) do not, so
+// their seed replicates on one shared defense instance run one search,
+// which the campaign engine runs once (engine/campaign.hpp).
 
 #include <string>
 #include <vector>
@@ -30,6 +33,11 @@ public:
     virtual const std::string& name() const = 0;
     /// Human-readable citation-style label ("SAT [8]", ...).
     virtual const std::string& label() const = 0;
+
+    /// Whether run() reads AttackOptions::seed. AppSAT draws its settlement
+    /// samples from it; an attack that ignores it returns the same result
+    /// for every seed on the same netlist and oracle.
+    virtual bool reads_seed() const = 0;
 
     virtual AttackResult run(const netlist::Netlist& camo_nl, Oracle& oracle,
                              const AttackOptions& options) const = 0;

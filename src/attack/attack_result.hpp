@@ -30,7 +30,8 @@ struct AttackOptions {
     std::size_t max_iterations = 1u << 20;
     /// Seed for attack-internal randomness (AppSAT's reinforcement
     /// sampling); the campaign engine overrides it with the derived
-    /// per-job seed so seed-replicated jobs are independent.
+    /// per-job seed so seed-replicated jobs are independent. The exact
+    /// attacks ignore it (Attack::reads_seed).
     std::uint64_t seed = 0xa99;
     /// Random patterns used for the a-posteriori key check.
     std::size_t verify_patterns = 1 << 12;
@@ -40,6 +41,8 @@ struct AttackOptions {
     /// matrices need (Sec. V-B runs AppSAT at a PAC tolerance). Ignored by
     /// the exact attacks.
     double appsat_error_threshold = 0.0;
+
+    bool operator==(const AttackOptions&) const = default;
 };
 
 struct AttackResult {

@@ -137,15 +137,32 @@ const CellLibrary& ablation_library(int k) {
                                 std::to_string(k));
 }
 
+namespace {
+
+/// Every library library_by_name() resolves, in lookup order.
+const std::vector<const CellLibrary*>& named_libraries() {
+    static const std::vector<const CellLibrary*> libs = [] {
+        std::vector<const CellLibrary*> v;
+        for (const CellLibrary& lib : table4_libraries()) v.push_back(&lib);
+        v.push_back(&stt_lut16());
+        for (const int k : {2, 3, 4, 6, 8, 16}) v.push_back(&ablation_library(k));
+        return v;
+    }();
+    return libs;
+}
+
+}  // namespace
+
 const CellLibrary& library_by_name(const std::string& name) {
-    for (const CellLibrary& lib : table4_libraries())
-        if (lib.name == name) return lib;
-    if (name == "stt_lut16") return stt_lut16();
-    if (name.rfind("ablation_k", 0) == 0) {
-        for (const int k : {2, 3, 4, 6, 8, 16})
-            if (name == ablation_library(k).name) return ablation_library(k);
-    }
+    for (const CellLibrary* lib : named_libraries())
+        if (lib->name == name) return *lib;
     throw std::invalid_argument("library_by_name: unknown library " + name);
+}
+
+std::vector<std::string> library_names() {
+    std::vector<std::string> names;
+    for (const CellLibrary* lib : named_libraries()) names.push_back(lib->name);
+    return names;
 }
 
 }  // namespace gshe::camo

@@ -71,4 +71,7 @@ const CellLibrary& ablation_library(int k);
 /// "ablation_k<k>" rungs). Throws on unknown name.
 const CellLibrary& library_by_name(const std::string& name);
 
+/// The short ids library_by_name() resolves, in lookup order.
+std::vector<std::string> library_names();
+
 }  // namespace gshe::camo

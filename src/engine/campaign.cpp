@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -94,6 +95,53 @@ JobPlan plan_jobs(const std::vector<JobSpec>& specs,
     return plan;
 }
 
+namespace {
+
+/// Whether two jobs of one defense group would run the same search: the
+/// same attack under AttackOptions equal apart from the seed.
+bool same_search(const JobSpec& a, const JobSpec& b) {
+    attack::AttackOptions x = a.attack_options;
+    attack::AttackOptions y = b.attack_options;
+    x.seed = 0;
+    y.seed = 0;
+    return a.attack == b.attack && x == y;
+}
+
+}  // namespace
+
+std::vector<std::size_t> result_leaders(const JobPlan& plan,
+                                        const std::vector<std::size_t>& indices) {
+    std::unordered_map<std::size_t, std::size_t> group_size;
+    for (const DefenseGroup& g : plan.groups) group_size[g.id] = g.members.size();
+    // Positions in plan order, so the lowest index of a result group leads.
+    std::vector<std::size_t> order(indices.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return indices[a] < indices[b];
+    });
+    std::vector<std::size_t> leader(indices.size());
+    // Per defense group, the positions leading a result group so far.
+    std::unordered_map<std::size_t, std::vector<std::size_t>> leading;
+    for (const std::size_t pos : order) {
+        leader[pos] = pos;
+        const PlannedJob& job = plan.jobs.at(indices[pos]);
+        const attack::Attack* attack = attack::find_attack(job.spec.attack);
+        if (group_size[job.group] < 2 || attack == nullptr ||
+            attack->reads_seed())
+            continue;
+        std::vector<std::size_t>& leaders = leading[job.group];
+        const auto it = std::find_if(
+            leaders.begin(), leaders.end(), [&](std::size_t l) {
+                return same_search(plan.jobs[indices[l]].spec, job.spec);
+            });
+        if (it == leaders.end())
+            leaders.push_back(pos);
+        else
+            leader[pos] = *it;
+    }
+    return leader;
+}
+
 // ---- aggregator -------------------------------------------------------------
 
 std::size_t CampaignResult::succeeded() const {
@@ -169,9 +217,9 @@ std::size_t CampaignRunner::resolve_threads(std::size_t jobs) const {
 
 /// Per-execute() state of one defense-instance sharing group: the instance
 /// and its oracle service, built once by whichever worker reaches the group
-/// first, shared by every member job this call runs, and released when the
-/// last of them finishes (so a long campaign holds only the netlists its
-/// in-flight jobs need).
+/// first, shared by every member job this call runs an attack for, and
+/// released when the last of them finishes (so a long campaign holds only
+/// the netlists its in-flight jobs need).
 struct CampaignRunner::GroupRuntime {
     const PlannedJob* canonical = nullptr;  ///< the group's first plan member
     std::size_t plan_members = 1;           ///< group size across the whole plan
@@ -180,8 +228,29 @@ struct CampaignRunner::GroupRuntime {
     std::unique_ptr<DefenseInstance> instance;
     std::unique_ptr<attack::OracleService> service;
     std::string build_error;                ///< non-empty: the build threw
-    std::atomic<std::size_t> remaining{0};  ///< member jobs left in this call
+    std::atomic<std::size_t> remaining{0};  ///< attack runs left in this call
 };
+
+namespace {
+
+/// A result follower's answer: its leader's JobResult under the follower's
+/// identity. The wall-clock fields are the follower's own: it ran no
+/// attack and made no oracle query, so they read 0 and its memo counters
+/// are empty; oracle_unique, a CSV column, is the leader's.
+JobResult follower_result(const JobResult& leader, const PlannedJob& job) {
+    const Timer timer;
+    JobResult r = leader;
+    r.index = job.index;
+    r.spec_seed = job.spec.seed;
+    r.derived_seed = job.derived_seed;
+    r.result.seconds = 0.0;
+    r.oracle_stats.seconds = 0.0;
+    r.oracle_cache = {};
+    r.job_seconds = timer.seconds();
+    return r;
+}
+
+}  // namespace
 
 JobResult CampaignRunner::run_job(const PlannedJob& job,
                                   GroupRuntime& group) const {
@@ -273,13 +342,26 @@ std::vector<JobResult> CampaignRunner::execute(
             throw std::invalid_argument("execute: plan index " +
                                         std::to_string(i) + " out of range");
     std::vector<JobResult> out(indices.size());
-    const std::size_t threads = resolve_threads(indices.size());
 
-    // One GroupRuntime per sharing group with members in this index subset.
-    // Keyed by group id; membership counts cover only this call (a sharded
-    // or resumed run frees an instance as soon as *its* members finish).
+    // Work items: the positions whose job runs an attack, in `indices`
+    // order, each with the positions that copy its result.
+    const std::vector<std::size_t> leader = result_leaders(plan, indices);
+    std::vector<std::size_t> items;
+    std::vector<std::vector<std::size_t>> followers(indices.size());
+    for (std::size_t pos = 0; pos < indices.size(); ++pos) {
+        if (leader[pos] == pos)
+            items.push_back(pos);
+        else
+            followers[leader[pos]].push_back(pos);
+    }
+    const std::size_t threads = resolve_threads(items.size());
+
+    // One GroupRuntime per sharing group with attack runs in this call.
+    // Keyed by group id; counts cover only this call (a sharded or resumed
+    // run frees an instance as soon as *its* attack runs finish).
     std::unordered_map<std::size_t, std::unique_ptr<GroupRuntime>> groups;
-    for (const std::size_t i : indices) {
+    for (const std::size_t pos : items) {
+        const std::size_t i = indices[pos];
         const PlannedJob& job = plan.jobs[i];
         auto& slot = groups[job.group];
         if (!slot) {
@@ -302,21 +384,28 @@ std::vector<JobResult> CampaignRunner::execute(
     std::mutex done_mutex;
     auto worker = [&] {
         while (true) {
-            const std::size_t slot = next.fetch_add(1);
-            if (slot >= indices.size()) break;
-            const PlannedJob& job = plan.jobs[indices[slot]];
-            JobResult r = run_job(job, *groups.at(job.group));
+            const std::size_t item = next.fetch_add(1);
+            if (item >= items.size()) break;
+            const std::size_t pos = items[item];
+            const PlannedJob& job = plan.jobs[indices[pos]];
+            out[pos] = run_job(job, *groups.at(job.group));
+            for (const std::size_t f : followers[pos])
+                out[f] = follower_result(out[pos], plan.jobs[indices[f]]);
             if (on_done) {
                 // Serialized, and a throw escaping a worker thread would
                 // std::terminate the whole campaign; progress reporting is
-                // not worth that.
+                // not worth that. The followers are reported right after
+                // their leader.
                 const std::lock_guard<std::mutex> lock(done_mutex);
-                try {
-                    on_done(r);
-                } catch (...) {
-                }
+                const auto report = [&](const JobResult& r) {
+                    try {
+                        on_done(r);
+                    } catch (...) {
+                    }
+                };
+                report(out[pos]);
+                for (const std::size_t f : followers[pos]) report(out[f]);
             }
-            out[slot] = std::move(r);
         }
     };
 
@@ -468,6 +557,10 @@ CampaignResult CampaignRunner::run(const JobPlan& plan) const {
     };
 
     std::vector<JobResult> fresh = execute(plan, pending, on_done);
+    const std::vector<std::size_t> leader = result_leaders(plan, pending);
+    std::size_t shared = 0;
+    for (std::size_t pos = 0; pos < leader.size(); ++pos)
+        if (leader[pos] != pos) ++shared;
 
     // Aggregate: cached + fresh results, packed in matrix order through the
     // same path tools/merge_campaign uses for shard journals.
@@ -477,8 +570,9 @@ CampaignResult CampaignRunner::run(const JobPlan& plan) const {
 
     CampaignResult out = aggregate_results(
         std::move(results),
-        static_cast<int>(resolve_threads(pending.size())), timer.seconds(),
-        resumed, std::move(checkpoint_error));
+        static_cast<int>(resolve_threads(pending.size() - shared)),
+        timer.seconds(), resumed, std::move(checkpoint_error));
+    out.shared = shared;
     out.shard = shard;
     out.plan_size = plan.jobs.size();
     out.plan_fingerprint = plan.fingerprint;

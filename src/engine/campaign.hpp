@@ -10,7 +10,9 @@
 //              the partitionable artifact — any subset of its indices can be
 //              executed anywhere.
 //   executor   CampaignRunner::execute() runs an arbitrary index subset of a
-//              plan across a thread pool. run() selects the subset from
+//              plan across a thread pool, building each shared defense
+//              instance once and running each seed-free attack once per
+//              instance (result_leaders()). run() selects the subset from
 //              CampaignOptions::shard (round-robin: shard i of N owns the
 //              indices j with j % N == i) and wires up checkpoint journaling
 //              and resume around it.
@@ -99,7 +101,10 @@ struct JobResult {
     /// Measured memo counters for this job (scheduling-dependent).
     attack::OracleCacheStats oracle_cache;
 
-    double job_seconds = 0.0;  ///< wall clock incl. netlist/defense build
+    /// Wall clock incl. netlist/defense build. A job answered by a
+    /// sibling's attack run (result_leaders()) measures only the copy, and
+    /// its result.seconds and oracle_stats.seconds read 0.
+    double job_seconds = 0.0;
     std::string error;         ///< non-empty: the job threw; result is default
 };
 
@@ -172,12 +177,29 @@ struct JobPlan {
 JobPlan plan_jobs(const std::vector<JobSpec>& specs,
                   std::uint64_t campaign_seed);
 
+/// Result sharing: which job's attack run answers each of `indices`.
+/// Jobs of one multi-member defense group that run the same attack with
+/// AttackOptions equal apart from `seed` form a result group when the
+/// attack ignores the seed (Attack::reads_seed() is false: sat,
+/// double_dip): they would run the identical search on the identical
+/// instance. execute() runs only each result group's lowest plan index in
+/// `indices` (its leader) and gives every other member a copy of the
+/// leader's JobResult under its own identity, its own job_seconds, zero
+/// attack and oracle seconds and empty memo counters. Returns, for each
+/// position of `indices`, the position of its leader (its own for a job
+/// that runs its attack).
+std::vector<std::size_t> result_leaders(const JobPlan& plan,
+                                        const std::vector<std::size_t>& indices);
+
 struct CampaignResult {
     std::vector<JobResult> jobs;  ///< ascending matrix order
     int threads = 1;
     double wall_seconds = 0.0;
     /// Jobs satisfied from the checkpoint journal instead of being re-run.
     std::size_t resumed = 0;
+    /// Jobs of this run answered by copying a sibling's attack run
+    /// (result_leaders()) instead of running their own.
+    std::size_t shared = 0;
     /// Non-empty: journaling failed mid-run (e.g. disk full) and was
     /// disabled; the campaign itself still completed.
     std::string checkpoint_error;
@@ -265,10 +287,12 @@ public:
     CampaignResult run(const JobPlan& plan) const;
 
     /// Executor: runs exactly the given plan indices across the thread
-    /// pool, returning their results in the order of `indices`. `on_done`
-    /// (optional) fires once per finished job, serialized, from worker
-    /// threads; exceptions it throws are swallowed. No checkpointing here —
-    /// run() layers that on top.
+    /// pool, returning their results in the order of `indices`. Only the
+    /// result leaders (result_leaders()) run an attack; each of their
+    /// followers is answered right after its leader. `on_done` (optional)
+    /// fires once per finished job, serialized, from worker threads, a
+    /// leader's followers right after it; exceptions it throws are
+    /// swallowed. No checkpointing here — run() layers that on top.
     std::vector<JobResult> execute(
         const JobPlan& plan, const std::vector<std::size_t>& indices,
         const std::function<void(const JobResult&)>& on_done = {}) const;
@@ -293,8 +317,8 @@ private:
     JobResult run_job(const PlannedJob& job, GroupRuntime& group) const;
     /// Worker-pool size for `jobs` runnable jobs: options_.threads
     /// (0 = all cores), never more threads than jobs, at least 1.
-    /// CampaignResult::threads reports this for the jobs that actually ran
-    /// (resumed jobs need no workers).
+    /// CampaignResult::threads reports this for the attack runs this call
+    /// made (resumed and shared jobs need no workers).
     std::size_t resolve_threads(std::size_t jobs) const;
 
     CampaignOptions options_;

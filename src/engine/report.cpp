@@ -205,6 +205,12 @@ std::string campaign_summary(const CampaignResult& result) {
                       result.resumed);
         summary += buf;
     }
+    if (result.shared > 0) {
+        std::snprintf(buf, sizeof buf,
+                      " (%zu answered by a sibling's attack run)",
+                      result.shared);
+        summary += buf;
+    }
     if (!result.checkpoint_error.empty())
         summary += " [checkpoint disabled: " + result.checkpoint_error + "]";
     return summary;

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,12 +62,23 @@ public:
     virtual Var new_var() = 0;
     virtual int num_vars() const = 0;
 
-    /// Adds a clause. Returns false once the formula is known unsatisfiable
-    /// at the root level.
-    virtual bool add_clause(Clause c) = 0;
-    bool add_clause(Lit a) { return add_clause(Clause{a}); }
-    bool add_clause(Lit a, Lit b) { return add_clause(Clause{a, b}); }
-    bool add_clause(Lit a, Lit b, Lit c) { return add_clause(Clause{a, b, c}); }
+    /// Adds the clause over `lits`, which the solver copies: a caller may
+    /// pass a reused buffer, a Clause or a stack array without allocating
+    /// (the pointer-and-length form of cmsat_add_clause). Returns false
+    /// once the formula is known unsatisfiable at the root level.
+    virtual bool add_clause(std::span<const Lit> lits) = 0;
+    bool add_clause(Lit a) {
+        const Lit lits[] = {a};
+        return add_clause(std::span<const Lit>(lits));
+    }
+    bool add_clause(Lit a, Lit b) {
+        const Lit lits[] = {a, b};
+        return add_clause(std::span<const Lit>(lits));
+    }
+    bool add_clause(Lit a, Lit b, Lit c) {
+        const Lit lits[] = {a, b, c};
+        return add_clause(std::span<const Lit>(lits));
+    }
 
     virtual std::size_t num_clauses() const = 0;
 

@@ -186,7 +186,7 @@ CircuitEncoder::XLit CircuitEncoder::encode_fn(core::Bool2 fn, XLit a, XLit b) {
 
 CircuitEncoder::XLit CircuitEncoder::encode_camo(const netlist::CamoCell& cell,
                                                  XLit a, XLit b, bool has_b,
-                                                 const std::vector<Var>& key_bits) {
+                                                 std::span<const Var> key_bits) {
     // Hash key: candidate set + key block + input codes. Two sites agree on
     // all three only when their definitions would be clause-identical.
     std::string hk;
@@ -209,22 +209,25 @@ CircuitEncoder::XLit CircuitEncoder::encode_camo(const netlist::CamoCell& cell,
     std::string block_key;
     block_key.reserve(key_bits.size() * 4);
     for (const Var v : key_bits) append_i32(block_key, v);
+    // Every clause below starts with the guard of one key code c, the
+    // literals of "key != c", built in the reused clause_ buffer.
+    const auto select = [&](std::size_t c) {
+        clause_.clear();
+        for (int j = 0; j < bits; ++j)
+            clause_.push_back(guard(key_bits[static_cast<std::size_t>(j)],
+                                    ((c >> j) & 1) != 0));
+    };
     if (forbidden_done_.insert(std::move(block_key)).second) {
         for (std::size_t c = k; c < (std::size_t{1} << bits); ++c) {
-            Clause cl;
-            for (int j = 0; j < bits; ++j)
-                cl.push_back(guard(key_bits[static_cast<std::size_t>(j)],
-                                   ((c >> j) & 1) != 0));
-            solver_.add_clause(std::move(cl));
+            select(c);
+            solver_.add_clause(clause_);
         }
     }
 
     const Var y = solver_.new_var();
+    const auto selector_size = static_cast<std::size_t>(bits);
     for (std::size_t c = 0; c < k; ++c) {
-        Clause selector;
-        for (int j = 0; j < bits; ++j)
-            selector.push_back(guard(key_bits[static_cast<std::size_t>(j)],
-                                     ((c >> j) & 1) != 0));
+        select(c);
         const core::Bool2 fn = cell.candidates[c];
         for (int va = 0; va < 2; ++va)
             for (int vb = 0; vb < 2; ++vb) {
@@ -233,12 +236,13 @@ CircuitEncoder::XLit CircuitEncoder::encode_camo(const netlist::CamoCell& cell,
                 if (a.is_const() && (va != 0) != a.const_value()) continue;
                 if (has_b && b.is_const() && (vb != 0) != b.const_value())
                     continue;
-                Clause cl = selector;
-                if (!a.is_const()) cl.push_back(lit_guard(a.as_lit(), va != 0));
+                clause_.resize(selector_size);
+                if (!a.is_const())
+                    clause_.push_back(lit_guard(a.as_lit(), va != 0));
                 if (has_b && !b.is_const())
-                    cl.push_back(lit_guard(b.as_lit(), vb != 0));
-                cl.push_back(equal(y, fn.eval(va != 0, vb != 0)));
-                solver_.add_clause(std::move(cl));
+                    clause_.push_back(lit_guard(b.as_lit(), vb != 0));
+                clause_.push_back(equal(y, fn.eval(va != 0, vb != 0)));
+                solver_.add_clause(clause_);
                 if (!has_b) break;  // single-input: ignore vb
             }
     }
@@ -301,10 +305,11 @@ Encoding CircuitEncoder::encode(const netlist::Netlist& nl,
                         nl.camo_cells()[static_cast<std::size_t>(g.camo_index)];
                     const int off =
                         enc.key_offset[static_cast<std::size_t>(g.camo_index)];
-                    const std::vector<Var> kb(
-                        enc.keys.begin() + off,
-                        enc.keys.begin() + off + cell.key_bits());
-                    val[id] = encode_camo(cell, a, b, g.b != kNoGate, kb);
+                    val[id] = encode_camo(
+                        cell, a, b, g.b != kNoGate,
+                        std::span<const Var>(enc.keys).subspan(
+                            static_cast<std::size_t>(off),
+                            static_cast<std::size_t>(cell.key_bits())));
                 } else {
                     val[id] = encode_fn(g.fn, a, b);
                 }
@@ -337,8 +342,17 @@ void CircuitEncoder::add_agreements(
             throw std::invalid_argument(
                 "CircuitEncoder: agreement output size mismatch");
     }
+    int total_key_bits = 0;
+    const std::vector<int> key_offset = camo_key_offsets(nl, &total_key_bits);
+    for (const std::vector<Var>& keys : keys_list)
+        if (keys.size() != static_cast<std::size_t>(total_key_bits))
+            throw std::invalid_argument(
+                "CircuitEncoder: agreement key size mismatch");
     const netlist::Simulator sim(nl);
     const std::vector<GateId>& reads = nl.frontier_read_set();
+    // Encode-time values of the cone gates, rewritten by every agreement
+    // before they are read.
+    std::vector<XLit> cone_val(nl.size(), XLit::constant(false));
     // Multi-word cone-restricted sweeps: up to kSweepWords x 64
     // observations share one pass over the frontier sub-plan, which runs
     // only the steps feeding the reads of the cone encoding.
@@ -365,7 +379,8 @@ void CircuitEncoder::add_agreements(
             const auto v0 = static_cast<std::uint64_t>(solver_.num_vars());
             const auto c0 = static_cast<std::uint64_t>(solver_.num_clauses());
             for (const std::vector<Var>& keys : keys_list)
-                encode_agreement(nl, keys, ys[base + j], values);
+                encode_agreement(nl, keys, key_offset, ys[base + j], values,
+                                 cone_val);
             const auto dv = static_cast<std::uint64_t>(solver_.num_vars()) - v0;
             const auto dc =
                 static_cast<std::uint64_t>(solver_.num_clauses()) - c0;
@@ -379,14 +394,11 @@ void CircuitEncoder::add_agreements(
 }
 
 void CircuitEncoder::encode_agreement(const netlist::Netlist& nl,
-                                      const std::vector<Var>& keys,
+                                      std::span<const Var> keys,
+                                      std::span<const int> key_offset,
                                       const std::vector<bool>& y,
-                                      std::span<const char> values) {
-    int total_key_bits = 0;
-    const std::vector<int> key_offset = camo_key_offsets(nl, &total_key_bits);
-    if (keys.size() != static_cast<std::size_t>(total_key_bits))
-        throw std::invalid_argument("CircuitEncoder: agreement key size mismatch");
-
+                                      std::span<const char> values,
+                                      std::vector<XLit>& val) {
     // The DIP is fixed, so everything outside the key cone is a known
     // constant: `values` (one lane of add_agreements' sweep, shared by
     // every key vector) replaces those gates outright, and only the
@@ -394,7 +406,6 @@ void CircuitEncoder::encode_agreement(const netlist::Netlist& nl,
     // the cone frontier.
     const std::vector<char>& cone = nl.key_cone();
 
-    std::vector<XLit> val(nl.size(), XLit::constant(false));
     for (const GateId id : nl.topological_order()) {
         if (cone[id] == 0) continue;  // simulated, never encoded
         const Gate& g = nl.gate(id);  // cone members are Logic by construction
@@ -408,9 +419,10 @@ void CircuitEncoder::encode_agreement(const netlist::Netlist& nl,
             const auto& cell =
                 nl.camo_cells()[static_cast<std::size_t>(g.camo_index)];
             const int off = key_offset[static_cast<std::size_t>(g.camo_index)];
-            const std::vector<Var> kb(keys.begin() + off,
-                                      keys.begin() + off + cell.key_bits());
-            val[id] = encode_camo(cell, a, b, g.b != kNoGate, kb);
+            val[id] = encode_camo(
+                cell, a, b, g.b != kNoGate,
+                keys.subspan(static_cast<std::size_t>(off),
+                             static_cast<std::size_t>(cell.key_bits())));
         } else {
             val[id] = encode_fn(g.fn, a, b);
         }

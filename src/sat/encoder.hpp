@@ -166,21 +166,24 @@ private:
 
     XLit encode_fn(core::Bool2 fn, XLit a, XLit b);
     XLit encode_camo(const netlist::CamoCell& cell, XLit a, XLit b,
-                     bool has_b, const std::vector<Var>& key_bits);
+                     bool has_b, std::span<const Var> key_bits);
     XLit unary_of(XLit x, bool f0, bool f1);
     XLit xlit_of(Lit l) const;
     Lit realize(XLit x);
     /// Falsifies the formula at the root (empty clause).
     void contradict();
 
-    /// One agreement of add_agreements: encodes the key cone under `keys`,
-    /// reading the simulated `values` (one per gate, valid at the frontier
-    /// read set) outside it. Counts cone and simulated gates; the caller
-    /// counts vars, clauses and agreements.
+    /// One agreement of add_agreements: encodes the key cone under `keys`
+    /// (each camo cell's bits at its `key_offset`), reading the simulated
+    /// `values` (one per gate, valid at the frontier read set) outside it;
+    /// `val` is the caller's per-gate scratch. Counts cone and simulated
+    /// gates; the caller counts vars, clauses and agreements.
     void encode_agreement(const netlist::Netlist& nl,
-                          const std::vector<Var>& keys,
+                          std::span<const Var> keys,
+                          std::span<const int> key_offset,
                           const std::vector<bool>& y,
-                          std::span<const char> values);
+                          std::span<const char> values,
+                          std::vector<XLit>& val);
     void add_difference_impl(const std::vector<Lit>& a,
                              const std::vector<Lit>& b,
                              std::optional<Lit> guard);
@@ -192,6 +195,7 @@ private:
     std::unordered_map<std::string, std::int32_t> camo_hash_;
     std::unordered_set<std::string> forbidden_done_;
     Var const_var_ = kNoVar;
+    Clause clause_;  ///< encode_camo's reused clause buffer
 };
 
 }  // namespace gshe::sat

@@ -25,13 +25,17 @@ Var Solver::new_var() {
     return v;
 }
 
-bool Solver::add_clause(Clause c) {
+bool Solver::add_clause(std::span<const Lit> lits) {
     if (!ok_) return false;
-    // Root-level simplification: drop false/duplicate lits, detect tautology.
-    std::sort(c.begin(), c.end());
-    Clause simplified;
+    // Root-level simplification in place: drop false/duplicate lits, detect
+    // tautology.
+    Clause& simplified = add_buffer_;
+    simplified.assign(lits.begin(), lits.end());
+    std::sort(simplified.begin(), simplified.end());
+    std::size_t kept = 0;
     Lit prev = kUndefLit;
-    for (Lit l : c) {
+    for (std::size_t k = 0; k < simplified.size(); ++k) {
+        const Lit l = simplified[k];
         if (l == prev) continue;
         if (prev != kUndefLit && l == ~prev) return true;  // tautology
         const LBool v = value(l);
@@ -40,9 +44,10 @@ bool Solver::add_clause(Clause c) {
             prev = l;
             continue;
         }
-        simplified.push_back(l);
+        simplified[kept++] = l;
         prev = l;
     }
+    simplified.resize(kept);
     if (simplified.empty()) {
         ok_ = false;
         return false;

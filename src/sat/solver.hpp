@@ -71,9 +71,10 @@ public:
     Var new_var() override;
     int num_vars() const override { return static_cast<int>(level_.size()); }
 
-    /// Adds a clause. Returns false if the formula is already unsatisfiable
-    /// at the root level (empty clause or conflicting units).
-    bool add_clause(Clause c) override;
+    /// Adds a clause, simplified at the root in a reused buffer. Returns
+    /// false if the formula is already unsatisfiable at the root level
+    /// (empty clause or conflicting units).
+    bool add_clause(std::span<const Lit> lits) override;
     using SolverBackend::add_clause;
 
     std::size_t num_clauses() const override { return num_clauses_; }
@@ -272,6 +273,9 @@ private:
     std::vector<char> polarity_; // saved phase (1 = last assigned true)
     double var_inc_ = 1.0;
     double cla_inc_ = 1.0;
+
+    // add_clause() scratch: the clause being simplified.
+    Clause add_buffer_;
 
     // analyze() scratch.
     std::vector<char> seen_;

@@ -159,6 +159,35 @@ TEST(AttackRegistry, RoundTripMatchesDirectCalls) {
     });
 }
 
+TEST(AttackRegistry, SeedFreeAttacksIgnoreTheSeed) {
+    // The engine copies a seed-free attack's result across seed replicates
+    // (engine::result_leaders), so the declaration must hold: another
+    // AttackOptions::seed changes nothing.
+    EXPECT_FALSE(attack::attack_by_name("sat").reads_seed());
+    EXPECT_FALSE(attack::attack_by_name("double_dip").reads_seed());
+    EXPECT_TRUE(attack::attack_by_name("appsat").reads_seed());
+    const Netlist base = tiny_circuit("beta");
+    const auto prot = camo::apply_camouflage(
+        base, camo::select_gates(base, 0.12, 5), camo::gshe16(), 5);
+    for (const auto& name : attack::attack_names()) {
+        const attack::Attack& a = attack::attack_by_name(name);
+        if (a.reads_seed()) continue;
+        AttackOptions one, two;
+        one.seed = 1;
+        two.seed = 2;
+        attack::ExactOracle o1(prot.netlist), o2(prot.netlist);
+        const AttackResult r1 = a.run(prot.netlist, o1, one);
+        const AttackResult r2 = a.run(prot.netlist, o2, two);
+        EXPECT_EQ(r1.status, r2.status) << name;
+        EXPECT_EQ(r1.iterations, r2.iterations) << name;
+        EXPECT_EQ(r1.key.bits, r2.key.bits) << name;
+        EXPECT_EQ(r1.solver_stats.conflicts, r2.solver_stats.conflicts) << name;
+        EXPECT_EQ(r1.solver_stats.propagations, r2.solver_stats.propagations)
+            << name;
+        EXPECT_EQ(o1.stats().patterns, o2.stats().patterns) << name;
+    }
+}
+
 // ---- CampaignRunner ---------------------------------------------------------
 
 std::vector<JobSpec> test_matrix() {

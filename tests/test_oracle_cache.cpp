@@ -295,10 +295,24 @@ TEST(CampaignCache, CsvByteIdenticalAcrossCacheModesAndThreadCounts) {
 }
 
 TEST(CampaignCache, CacheOnActuallySharesEvaluations) {
-    const std::vector<JobSpec> jobs = grouped_matrix(true);
+    // AppSAT reads its seed, so its seed replicates on one pinned instance
+    // each run their own attack, and the later ones replay DIP queries the
+    // first one paid for. (Seed replicates of sat or double_dip copy one
+    // attack run and query nothing; see engine::result_leaders.)
+    DefenseConfig camo;
+    camo.fraction = 0.10;
+    camo.protect_seed = 42;
+    attack::AttackOptions opt;
+    opt.timeout_seconds = 600.0;  // generous: the deterministic budget binds
+    opt.max_conflicts = 10000;
+    const std::vector<JobSpec> jobs = CampaignRunner::cross_product(
+        {"alpha"}, {camo}, {"appsat"}, {1, 2, 3}, opt);
     const auto on = CampaignRunner(campaign_options(
                                        1, engine::OracleCacheMode::On))
                         .run(jobs);
+    ASSERT_EQ(on.errored(), 0u);
+    EXPECT_EQ(on.jobs.front().oracle_group_size, 3u);  // one shared group
+    EXPECT_EQ(on.shared, 0u);
     std::uint64_t hits = 0, logical = 0, evaluated = 0;
     for (const auto& j : on.jobs) {
         hits += j.oracle_cache.hits;

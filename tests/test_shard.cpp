@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -517,6 +518,198 @@ TEST(ShardResume, ShardRunWritesStampedRecords) {
             EXPECT_EQ(record.stamp.shard_index, s);
             EXPECT_EQ(record.stamp.shard_total, 2u);
         }
+    }
+}
+
+// ---- result sharing ---------------------------------------------------------
+
+/// The Table IV methodology's matrix: one pinned gate selection, so each
+/// circuit's camo and sarlock jobs attack one shared instance each, beside
+/// private stochastic instances; 2 circuits x 3 defenses x {sat,
+/// double_dip, appsat} x 3 seeds = 54 jobs.
+std::vector<JobSpec> protect_seed_matrix() {
+    DefenseConfig camo;
+    camo.fraction = 0.10;
+    DefenseConfig sarlock;
+    sarlock.kind = "sarlock";
+    sarlock.sarlock_bits = 4;
+    DefenseConfig stochastic;
+    stochastic.kind = "stochastic";
+    stochastic.fraction = 0.10;
+    stochastic.accuracy = 0.95;
+    std::vector<DefenseConfig> defenses = {camo, sarlock, stochastic};
+    for (DefenseConfig& d : defenses) d.protect_seed = 7;
+
+    AttackOptions opt;
+    opt.timeout_seconds = 600.0;  // generous: the deterministic budget binds
+    opt.max_conflicts = 10000;
+    return CampaignRunner::cross_product({"alpha", "beta"}, defenses,
+                                         {"sat", "double_dip", "appsat"},
+                                         {1, 2, 3}, opt);
+}
+
+std::vector<std::size_t> all_indices(const JobPlan& plan) {
+    return plan.shard_indices(ShardSpec{});
+}
+
+/// `follower` with its identity and measured wall-clock fields replaced by
+/// `leader`'s: what must then equal the leader field for field.
+JobResult masked_follower(JobResult follower, const JobResult& leader) {
+    follower.index = leader.index;
+    follower.spec_seed = leader.spec_seed;
+    follower.derived_seed = leader.derived_seed;
+    follower.job_seconds = leader.job_seconds;
+    follower.result.seconds = leader.result.seconds;
+    follower.oracle_stats.seconds = leader.oracle_stats.seconds;
+    follower.oracle_cache = leader.oracle_cache;
+    return follower;
+}
+
+TEST(ResultSharing, LeadersAreTheLowestIndexOfOneSeedFreeSearch) {
+    DefenseConfig camo;
+    camo.protect_seed = 7;
+    AttackOptions opt;
+    opt.max_conflicts = 1000;
+    auto jobs = CampaignRunner::cross_product({"alpha"}, {camo},
+                                              {"sat", "appsat"}, {1, 2, 3}, opt);
+    JobSpec other_budget = jobs[0];  // same instance, another search
+    other_budget.attack_options.max_conflicts = 2000;
+    jobs.push_back(other_budget);
+    JobSpec other_seed_field = jobs[1];  // differs only in the option seed
+    other_seed_field.attack_options.seed = 99;
+    jobs.push_back(other_seed_field);
+    const JobPlan plan = plan_jobs(jobs, 1);
+    ASSERT_EQ(plan.groups.size(), 1u);  // one shared instance
+
+    // Plan order: sat 0-2, appsat 3-5 (AppSAT reads its seed: each runs),
+    // sat at another budget 6, sat with another option seed 7.
+    EXPECT_EQ(result_leaders(plan, all_indices(plan)),
+              (std::vector<std::size_t>{0, 0, 0, 3, 4, 5, 6, 0}));
+    // The lowest index present leads, whatever the order of `indices`.
+    EXPECT_EQ(result_leaders(plan, {7, 2, 5, 1}),
+              (std::vector<std::size_t>{3, 3, 2, 3}));
+
+    // Without a pinned selection every instance is private: nothing shares.
+    for (JobSpec& spec : jobs) spec.defense.protect_seed.reset();
+    const JobPlan unpinned = plan_jobs(jobs, 1);
+    const auto leaders = result_leaders(unpinned, all_indices(unpinned));
+    for (std::size_t pos = 0; pos < leaders.size(); ++pos)
+        EXPECT_EQ(leaders[pos], pos);
+}
+
+TEST(ResultSharing, SharedCsvEqualsTheMergeOfPrivateShards) {
+    const auto jobs = protect_seed_matrix();
+    const CampaignResult shared = CampaignRunner(test_options(4)).run(jobs);
+    ASSERT_EQ(shared.errored(), 0u);
+    // Per circuit, camo and sarlock x {sat, double_dip}: 1 leader and 2
+    // followers each.
+    EXPECT_EQ(shared.shared, 16u);
+
+    // Seeds are the innermost matrix axis, so each of 3 round-robin shards
+    // holds one member of every result group and runs every job privately.
+    const JobPlan plan = plan_jobs(jobs, CampaignOptions{}.campaign_seed);
+    for (std::size_t s = 0; s < 3; ++s) {
+        const auto mine = plan.shard_indices(ShardSpec{s, 3});
+        const auto leaders = result_leaders(plan, mine);
+        for (std::size_t pos = 0; pos < leaders.size(); ++pos)
+            EXPECT_EQ(leaders[pos], pos) << "shard " << s;
+    }
+    ScratchDir scratch("sharing_private");
+    const MergeReport merged =
+        merge_journals(run_sharded(scratch, jobs, 3, 2));
+    ASSERT_TRUE(merged.ok()) << merged.errors.front();
+    EXPECT_EQ(campaign_csv(merged.result), campaign_csv(shared));
+}
+
+TEST(ResultSharing, FollowersCopyTheirLeaderAndQueryNothing) {
+    const auto jobs = protect_seed_matrix();
+    const CampaignResult run = CampaignRunner(test_options(3)).run(jobs);
+    ASSERT_EQ(run.errored(), 0u);
+    const JobPlan plan = plan_jobs(jobs, CampaignOptions{}.campaign_seed);
+    const auto leaders = result_leaders(plan, all_indices(plan));
+
+    std::size_t followers = 0;
+    for (std::size_t i = 0; i < run.jobs.size(); ++i) {
+        const JobResult& j = run.jobs[i];
+        if (j.attack == "appsat" || j.defense.rfind("stochastic", 0) == 0) {
+            // Seed-reading attacks and private instances run their own
+            // attack against their own oracle client.
+            EXPECT_EQ(leaders[i], i) << i;
+            EXPECT_GT(j.oracle_cache.logical(), 0u) << i;
+        }
+        if (leaders[i] == i) continue;
+        ++followers;
+        const JobResult& leader = run.jobs[leaders[i]];
+        EXPECT_TRUE(j.attack == "sat" || j.attack == "double_dip") << i;
+        EXPECT_EQ(j.spec_seed, jobs[i].seed) << i;
+        EXPECT_EQ(j.derived_seed, plan.jobs[i].derived_seed) << i;
+        EXPECT_EQ(j.result.seconds, 0.0) << i;
+        EXPECT_EQ(j.oracle_stats.seconds, 0.0) << i;
+        EXPECT_EQ(j.oracle_cache.logical(), 0u) << i;
+        EXPECT_EQ(j.oracle_unique, leader.oracle_unique) << i;
+        // Every other field is the leader's: the journal record serializes
+        // them all.
+        EXPECT_EQ(checkpoint::encode_record(0, jobs[i], masked_follower(j, leader)),
+                  checkpoint::encode_record(0, jobs[i], leader))
+            << i;
+    }
+    EXPECT_EQ(followers, run.shared);
+}
+
+TEST(ResultSharing, JournalHoldsEveryJobAndResumesFromTheLeaders) {
+    const auto jobs = protect_seed_matrix();
+    ScratchDir scratch("sharing_resume");
+    const std::string path = scratch.journal(0);
+    const CampaignResult full =
+        CampaignRunner(test_options(2, ShardSpec{}, path)).run(jobs);
+    ASSERT_EQ(full.errored(), 0u);
+    const std::string golden_csv = campaign_csv(full);
+    const auto records = checkpoint::load_journal(path);
+    ASSERT_EQ(records.size(), jobs.size()) << "one record per clean job";
+
+    // Kill after every leader finished but before any follower was
+    // journaled: the resumed run's lowest pending member of each result
+    // group runs the attack again, and the CSV must not move.
+    const JobPlan plan = plan_jobs(jobs, CampaignOptions{}.campaign_seed);
+    const auto leaders = result_leaders(plan, all_indices(plan));
+    std::vector<std::string> leader_lines;
+    for (const auto& record : records)
+        if (leaders[record.result.index] == record.result.index)
+            leader_lines.push_back(record.line);
+    scratch.write_lines(path, leader_lines);
+    const CampaignResult resumed =
+        CampaignRunner(test_options(2, ShardSpec{}, path)).run(jobs);
+    EXPECT_EQ(resumed.resumed, jobs.size() - full.shared);
+    EXPECT_EQ(resumed.shared, full.shared / 2);  // 2 pending per group: 1 copies
+    EXPECT_EQ(campaign_csv(resumed), golden_csv);
+    EXPECT_EQ(scratch.lines(path).size(), jobs.size()) << "journal healed";
+}
+
+TEST(ResultSharing, OneWorkerPerLeaderAndErrorsReachTheFollowers) {
+    DefenseConfig camo;
+    camo.protect_seed = 7;
+    const auto jobs = CampaignRunner::cross_product(
+        {"alpha", "nope"}, {camo}, {"sat"}, {1, 2, 3}, AttackOptions{});
+    CampaignOptions options = test_options(8);
+    options.netlist_provider = [](const std::string& name) {
+        if (name != "alpha") throw std::runtime_error("no circuit " + name);
+        return tiny_circuit(name);
+    };
+    std::vector<std::size_t> reported;
+    options.on_job_done = [&](const JobResult& j) { reported.push_back(j.index); };
+    const CampaignResult res = CampaignRunner(options).run(jobs);
+    EXPECT_EQ(res.threads, 2);  // two attack runs, one per instance
+    EXPECT_EQ(res.shared, 4u);
+    for (const std::size_t i : {3u, 4u, 5u})
+        EXPECT_NE(res.jobs[i].error.find("no circuit nope"), std::string::npos)
+            << i;
+    EXPECT_EQ(res.errored(), 3u);
+    // Each leader is reported before its followers, which come right after.
+    ASSERT_EQ(reported.size(), jobs.size());
+    for (std::size_t k = 0; k < reported.size(); k += 3) {
+        EXPECT_EQ(reported[k] % 3, 0u);
+        EXPECT_EQ(reported[k + 1], reported[k] + 1);
+        EXPECT_EQ(reported[k + 2], reported[k] + 2);
     }
 }
 

@@ -33,8 +33,9 @@
 //   run_campaign --circuits=ex1010 --defenses=stochastic --accuracy=0.9
 //
 // Every attack runs on the in-tree CDCL solver. Matrix values every job
-// would fail on (unknown circuit, defense or attack names; sequential
-// corpus circuits) are usage errors, reported before planning.
+// would fail on (unknown circuit, defense, library or attack names; a
+// stochastic accuracy outside (0, 1]; sequential corpus circuits) are
+// usage errors, reported before planning.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +46,7 @@
 #include <vector>
 
 #include "attack/attack.hpp"
+#include "camo/cell_library.hpp"
 #include "common/parse.hpp"
 #include "common/report.hpp"
 #include "engine/campaign.hpp"
@@ -108,7 +110,8 @@ void usage() {
         "  --attacks=a,...    attacks (default sat,double_dip; also: appsat)\n"
         "  --seeds=N          replications with seeds 1..N (default 2)\n"
         "  --fraction=F       protected gate fraction (default 0.05)\n"
-        "  --library=NAME     camouflage cell library (default gshe16)\n"
+        "  --library=NAME     camouflage cell library (default gshe16; see\n"
+        "                     --list)\n"
         "  --sarlock-bits=M   SARLock protected bits (default 4)\n"
         "  --accuracy=A       stochastic device accuracy (default 0.95)\n"
         "  --max-conflicts=N  deterministic solver budget (default 50000)\n"
@@ -119,7 +122,10 @@ void usage() {
         "                     'gates are randomly selected once ... and then\n"
         "                     reapplied across all techniques'). Jobs that then\n"
         "                     attack identical defense instances share one\n"
-        "                     build and one oracle query memo\n"
+        "                     build and one oracle query memo, and the seed\n"
+        "                     replicates of a seed-free attack (sat,\n"
+        "                     double_dip) on one instance share one attack\n"
+        "                     run: the CSV is unchanged\n"
         "  --oracle-cache=M   query-memo policy: on | off | auto (default\n"
         "                     auto = memo only defense-instance groups with\n"
         "                     more than one job). The deterministic CSV is\n"
@@ -143,9 +149,10 @@ void usage() {
         "  --timing           add wall-clock columns to the CSV (breaks the\n"
         "                     byte-identical guarantee)\n"
         "  --quiet            suppress per-job progress on stderr\n"
-        "  --list             list circuits/defenses/attacks and exit\n"
-        "Unknown circuit, defense or attack names, and sequential circuits\n"
-        "(s38584), are usage errors: exit 2 before planning, --dry-run too.");
+        "  --list             list circuits/defenses/libraries/attacks and exit\n"
+        "Unknown circuit, defense, library or attack names, an accuracy outside\n"
+        "(0, 1] for a stochastic defense, and sequential circuits (s38584)\n"
+        "are usage errors: exit 2 before planning, --dry-run too.");
 }
 
 void list_choices() {
@@ -155,6 +162,9 @@ void list_choices() {
     std::printf("defenses:\n");
     for (const auto& k : DefenseFactory::kinds())
         std::printf("  %s\n", k.c_str());
+    std::printf("libraries (--library):\n");
+    for (const auto& name : camo::library_names())
+        std::printf("  %s\n", name.c_str());
     std::printf("attacks:\n");
     for (const auto& name : attack::attack_names()) {
         const attack::Attack& a = attack::attack_by_name(name);
@@ -305,6 +315,23 @@ std::string matrix_error(const Cli& cli) {
         if (attack::find_attack(name) == nullptr)
             return "unknown attack '" + name + "' (known: " +
                    joined(attack::attack_names()) + ")";
+    // Every kind but sarlock builds its cells from --library; only the
+    // stochastic oracle reads --accuracy.
+    const auto has_defense = [&](auto&& pred) {
+        return std::any_of(cli.defenses.begin(), cli.defenses.end(), pred);
+    };
+    const auto names = camo::library_names();
+    if (has_defense([](const std::string& k) { return k != "sarlock"; }) &&
+        std::find(names.begin(), names.end(), cli.library) == names.end())
+        return "unknown library '" + cli.library + "' (known: " +
+               joined(names) + ")";
+    if (has_defense([](const std::string& k) { return k == "stochastic"; }) &&
+        !(cli.accuracy > 0.0 && cli.accuracy <= 1.0)) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%g", cli.accuracy);
+        return std::string("stochastic accuracy ") + buf +
+               " (--accuracy) is outside (0, 1]";
+    }
     return {};
 }
 

@@ -65,7 +65,7 @@ struct AttackResult {
     bool key_exact = false;  ///< error rate was 0 on the sample
     /// Solver work, summed over every solver the attack used (Double DIP
     /// runs two miters, each under its own conflict cap).
-    sat::Solver::Stats solver_stats;
+    sat::SolverStats solver_stats;
     /// CNF-emission telemetry, summed over every encoder the attack used
     /// (Double DIP runs two miters). Telemetry only: rides the JSON report
     /// and journal, never the deterministic CSV.

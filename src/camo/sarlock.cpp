@@ -1,6 +1,7 @@
 #include "camo/sarlock.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -34,7 +35,10 @@ Protection apply_sarlock(const Netlist& nl, int m_bits, std::uint64_t seed) {
     if (m_bits < 1)
         throw std::invalid_argument("apply_sarlock: m_bits >= 1");
     if (nl.inputs().size() < static_cast<std::size_t>(m_bits))
-        throw std::invalid_argument("apply_sarlock: not enough primary inputs");
+        throw std::invalid_argument(
+            "apply_sarlock: m_bits = " + std::to_string(m_bits) +
+            " exceeds the circuit's " + std::to_string(nl.inputs().size()) +
+            " primary inputs");
     if (nl.outputs().empty())
         throw std::invalid_argument("apply_sarlock: need a primary output");
 

@@ -28,10 +28,11 @@
 
 namespace gshe::camo {
 
-/// Applies SARLock-style protection over the first min(m_bits, #PI) inputs
-/// of a copy of `nl`, flipping its first primary output. The returned
-/// Protection's camo cells are the m INV/BUF constant cells; the true key
-/// encodes c*.
+/// Applies SARLock-style protection over the first m_bits inputs of a copy
+/// of `nl`, flipping its first primary output. The returned Protection's
+/// camo cells are the m INV/BUF constant cells; the true key encodes c*.
+/// Throws std::invalid_argument, naming both counts, when `nl` has fewer
+/// than m_bits primary inputs.
 Protection apply_sarlock(const netlist::Netlist& nl, int m_bits,
                          std::uint64_t seed);
 

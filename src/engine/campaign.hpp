@@ -19,7 +19,7 @@
 //   aggregator aggregate_results() packs per-job results (from a live run OR
 //              from merged shard journals — one shared code path) into a
 //              CampaignResult in matrix order, from which the deterministic
-//              CSV/JSON reports are rendered.
+//              CSV and the (timed) JSON report are rendered.
 //
 // Determinism contract: a job's result is a pure function of its JobSpec,
 // the campaign seed and its matrix index. Per-job randomness derives from

@@ -75,131 +75,6 @@ std::string key_bits_string(const camo::Key& key) {
     return s;
 }
 
-void write_result(JsonWriter& w, const JobResult& r) {
-    w.begin_object();
-    w.key("index");
-    w.value(static_cast<std::uint64_t>(r.index));
-    w.key("circuit");
-    w.value(r.circuit);
-    w.key("defense");
-    w.value(r.defense);
-    w.key("attack");
-    w.value(r.attack);
-    w.key("spec_seed");
-    w.value(r.spec_seed);
-    w.key("derived_seed");
-    w.value(r.derived_seed);
-    w.key("protected_cells");
-    w.value(static_cast<std::uint64_t>(r.protected_cells));
-    w.key("key_bits");
-    w.value(static_cast<std::int64_t>(r.key_bits));
-    w.key("error");
-    w.value(r.error);
-    w.key("job_seconds");
-    w.value_full(r.job_seconds);
-    w.key("oracle_epochs");
-    w.value(r.oracle_epochs);
-    w.key("attack_result");
-    w.begin_object();
-    w.key("status");
-    w.value(attack::AttackResult::status_name(r.result.status));
-    w.key("key");
-    w.value(key_bits_string(r.result.key));
-    w.key("iterations");
-    w.value(static_cast<std::uint64_t>(r.result.iterations));
-    w.key("seconds");
-    w.value_full(r.result.seconds);
-    w.key("oracle_patterns");
-    w.value(r.result.oracle_patterns);
-    w.key("key_error_rate");
-    w.value_full(r.result.key_error_rate);
-    w.key("key_exact");
-    w.value(r.result.key_exact);
-    w.key("solver");
-    w.begin_object();
-    w.key("decisions");
-    w.value(r.result.solver_stats.decisions);
-    w.key("propagations");
-    w.value(r.result.solver_stats.propagations);
-    w.key("conflicts");
-    w.value(r.result.solver_stats.conflicts);
-    w.key("restarts");
-    w.value(r.result.solver_stats.restarts);
-    w.key("learnt_clauses");
-    w.value(r.result.solver_stats.learnt_clauses);
-    w.key("removed_clauses");
-    w.value(r.result.solver_stats.removed_clauses);
-    w.key("chrono_backtracks");
-    w.value(r.result.solver_stats.chrono_backtracks);
-    w.key("gc_runs");
-    w.value(r.result.solver_stats.gc_runs);
-    w.end_object();
-    // CNF-encoder telemetry.
-    w.key("encoder_stats");
-    w.begin_object();
-    w.key("vars");
-    w.value(r.result.encoder_stats.vars);
-    w.key("clauses");
-    w.value(r.result.encoder_stats.clauses);
-    w.key("gates_folded");
-    w.value(r.result.encoder_stats.gates_folded);
-    w.key("hash_hits");
-    w.value(r.result.encoder_stats.hash_hits);
-    w.key("agreements");
-    w.value(r.result.encoder_stats.agreements);
-    w.key("agreement_vars");
-    w.value(r.result.encoder_stats.agreement_vars);
-    w.key("agreement_clauses");
-    w.value(r.result.encoder_stats.agreement_clauses);
-    w.key("cone_gates");
-    w.value(r.result.encoder_stats.cone_gates);
-    w.key("sim_gates");
-    w.value(r.result.encoder_stats.sim_gates);
-    w.end_object();
-    w.key("inplace_extractions");
-    w.value(r.result.inplace_extractions);
-    w.end_object();
-    w.key("oracle_stats");
-    w.begin_object();
-    w.key("calls");
-    w.value(r.oracle_stats.calls);
-    w.key("single_calls");
-    w.value(r.oracle_stats.single_calls);
-    w.key("patterns");
-    w.value(r.oracle_stats.patterns);
-    w.key("seconds");
-    w.value_full(r.oracle_stats.seconds);
-    w.end_object();
-    // Oracle-service fields (additive to journal v1; absent in older
-    // records, which decode with the struct defaults). The first four are
-    // CSV-deterministic and must round-trip exactly for the resume/merge
-    // byte-identity contract; the cache counters are measured.
-    w.key("oracle_contract");
-    w.value(r.oracle_contract);
-    w.key("oracle_group");
-    w.value(r.oracle_group);
-    w.key("oracle_group_size");
-    w.value(r.oracle_group_size);
-    w.key("oracle_unique");
-    w.value(r.oracle_unique);
-    w.key("oracle_cache");
-    w.begin_object();
-    w.key("enabled");
-    w.value(r.oracle_cache_enabled);
-    w.key("hits");
-    w.value(r.oracle_cache.hits);
-    w.key("misses");
-    w.value(r.oracle_cache.misses);
-    w.key("bypassed");
-    w.value(r.oracle_cache.bypassed);
-    w.key("unique_patterns");
-    w.value(r.oracle_cache.unique_patterns);
-    w.key("inserted_bytes");
-    w.value(r.oracle_cache.inserted_bytes);
-    w.end_object();
-    w.end_object();
-}
-
 // ---- decode helpers ---------------------------------------------------------
 // Missing fields fall back to the struct defaults: records written by an
 // older (or newer) journal schema load with best-effort fidelity, and
@@ -358,6 +233,131 @@ std::string spec_json(const JobSpec& spec) {
     JsonWriter w;
     write_spec(w, spec);
     return w.str();
+}
+
+void write_result(JsonWriter& w, const JobResult& r) {
+    w.begin_object();
+    w.key("index");
+    w.value(static_cast<std::uint64_t>(r.index));
+    w.key("circuit");
+    w.value(r.circuit);
+    w.key("defense");
+    w.value(r.defense);
+    w.key("attack");
+    w.value(r.attack);
+    w.key("spec_seed");
+    w.value(r.spec_seed);
+    w.key("derived_seed");
+    w.value(r.derived_seed);
+    w.key("protected_cells");
+    w.value(static_cast<std::uint64_t>(r.protected_cells));
+    w.key("key_bits");
+    w.value(static_cast<std::int64_t>(r.key_bits));
+    w.key("error");
+    w.value(r.error);
+    w.key("job_seconds");
+    w.value_full(r.job_seconds);
+    w.key("oracle_epochs");
+    w.value(r.oracle_epochs);
+    w.key("attack_result");
+    w.begin_object();
+    w.key("status");
+    w.value(attack::AttackResult::status_name(r.result.status));
+    w.key("key");
+    w.value(key_bits_string(r.result.key));
+    w.key("iterations");
+    w.value(static_cast<std::uint64_t>(r.result.iterations));
+    w.key("seconds");
+    w.value_full(r.result.seconds);
+    w.key("oracle_patterns");
+    w.value(r.result.oracle_patterns);
+    w.key("key_error_rate");
+    w.value_full(r.result.key_error_rate);
+    w.key("key_exact");
+    w.value(r.result.key_exact);
+    w.key("solver");
+    w.begin_object();
+    w.key("decisions");
+    w.value(r.result.solver_stats.decisions);
+    w.key("propagations");
+    w.value(r.result.solver_stats.propagations);
+    w.key("conflicts");
+    w.value(r.result.solver_stats.conflicts);
+    w.key("restarts");
+    w.value(r.result.solver_stats.restarts);
+    w.key("learnt_clauses");
+    w.value(r.result.solver_stats.learnt_clauses);
+    w.key("removed_clauses");
+    w.value(r.result.solver_stats.removed_clauses);
+    w.key("chrono_backtracks");
+    w.value(r.result.solver_stats.chrono_backtracks);
+    w.key("gc_runs");
+    w.value(r.result.solver_stats.gc_runs);
+    w.end_object();
+    // CNF-encoder telemetry.
+    w.key("encoder_stats");
+    w.begin_object();
+    w.key("vars");
+    w.value(r.result.encoder_stats.vars);
+    w.key("clauses");
+    w.value(r.result.encoder_stats.clauses);
+    w.key("gates_folded");
+    w.value(r.result.encoder_stats.gates_folded);
+    w.key("hash_hits");
+    w.value(r.result.encoder_stats.hash_hits);
+    w.key("agreements");
+    w.value(r.result.encoder_stats.agreements);
+    w.key("agreement_vars");
+    w.value(r.result.encoder_stats.agreement_vars);
+    w.key("agreement_clauses");
+    w.value(r.result.encoder_stats.agreement_clauses);
+    w.key("cone_gates");
+    w.value(r.result.encoder_stats.cone_gates);
+    w.key("sim_gates");
+    w.value(r.result.encoder_stats.sim_gates);
+    w.end_object();
+    w.key("inplace_extractions");
+    w.value(r.result.inplace_extractions);
+    w.end_object();
+    w.key("oracle_stats");
+    w.begin_object();
+    w.key("calls");
+    w.value(r.oracle_stats.calls);
+    w.key("single_calls");
+    w.value(r.oracle_stats.single_calls);
+    w.key("patterns");
+    w.value(r.oracle_stats.patterns);
+    w.key("seconds");
+    w.value_full(r.oracle_stats.seconds);
+    w.end_object();
+    // Oracle-service fields (additive to journal v1; absent in older
+    // records, which decode with the struct defaults). The first four are
+    // CSV-deterministic and must round-trip exactly for the resume/merge
+    // byte-identity contract; the cache counters are measured.
+    w.key("oracle_contract");
+    w.value(r.oracle_contract);
+    w.key("oracle_group");
+    w.value(r.oracle_group);
+    w.key("oracle_group_size");
+    w.value(r.oracle_group_size);
+    w.key("oracle_unique");
+    w.value(r.oracle_unique);
+    w.key("oracle_cache");
+    w.begin_object();
+    w.key("enabled");
+    w.value(r.oracle_cache_enabled);
+    w.key("hits");
+    w.value(r.oracle_cache.hits);
+    w.key("misses");
+    w.value(r.oracle_cache.misses);
+    w.key("bypassed");
+    w.value(r.oracle_cache.bypassed);
+    w.key("unique_patterns");
+    w.value(r.oracle_cache.unique_patterns);
+    w.key("inserted_bytes");
+    w.value(r.oracle_cache.inserted_bytes);
+    w.end_object();
+    w.end_object();
 }
 
 std::uint64_t job_key(std::uint64_t campaign_seed, std::size_t index,

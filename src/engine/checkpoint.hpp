@@ -41,6 +41,10 @@
 
 #include "engine/campaign.hpp"
 
+namespace gshe {
+class JsonWriter;
+}
+
 namespace gshe::engine::checkpoint {
 
 /// Journal format version; bump when a record's schema changes
@@ -88,8 +92,15 @@ struct Record {
 
 /// Canonical JSON of a JobSpec: stable field order, full-precision doubles.
 /// This string is the hash input for job_key(), so any spec change —
-/// including attack options and solver feature toggles — changes the key.
+/// including its defense configuration and attack options — changes the key.
 std::string spec_json(const JobSpec& spec);
+
+/// Writes one JobResult as a JSON object: a journal record's "result" and
+/// an element of the JSON report's "jobs" (engine/report.hpp), so a field
+/// is written here once and read back once by decode_record(). An errored
+/// job's object has a non-empty "error" beside a default "attack_result";
+/// readers check "error" first, as the CSV's status column does.
+void write_result(JsonWriter& w, const JobResult& result);
 
 /// Deterministic identity of a job slot (FNV-1a over the campaign seed, the
 /// matrix index and spec_json()). The index participates because derived

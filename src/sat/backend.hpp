@@ -8,9 +8,9 @@
 // deterministic), so every campaign runs one solver whose conflict budget
 // makes each "t-o" cell of the paper's Table IV reproducible.
 //
-// The budget/stat structs live here rather than on sat::Solver (which
-// keeps nested aliases) so this header depends only on sat/types.hpp. The
-// solver has no options: its heuristic constants (VSIDS decays, Luby
+// The result, budget and stat types live here rather than on sat::Solver,
+// so this header depends only on sat/types.hpp; each has this one name.
+// The solver has no options: its heuristic constants (VSIDS decays, Luby
 // restarts of base 128, learnt-DB reduction from 4096 learnt clauses, glue
 // LBD 2, chronological backtracking past 100 levels) are fixed in
 // sat/solver.hpp.

@@ -633,16 +633,16 @@ bool Solver::budget_exhausted() const {
     return solve_timer_.seconds() > budget_.max_seconds;
 }
 
-Solver::Result Solver::solve(const std::vector<Lit>& assumptions) {
-    if (!ok_) return Result::Unsat;
+SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
+    if (!ok_) return SolveResult::Unsat;
     solve_timer_.reset();
-    const Result r = search(assumptions);
+    const SolveResult r = search(assumptions);
     // Always return at the root so the caller can add clauses incrementally.
     backtrack_to(0);
     return r;
 }
 
-Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
+SolveResult Solver::search(const std::vector<Lit>& assumptions) {
     backtrack_to(0);
     // Mark this search's assumption literals for the mid-search
     // assumption-conflict check.
@@ -675,7 +675,7 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                 // conflicting queue (qhead_), so a fresh solve would not
                 // rediscover it.
                 ok_ = false;
-                return Result::Unsat;
+                return SolveResult::Unsat;
             }
 
             if (!backtrack_to_conflict(conflict, conflict_level)) {
@@ -708,12 +708,12 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                         // the root refutes the formula, not just the
                         // assumptions.
                         if (current_level() == 0) ok_ = false;
-                        return Result::Unsat;
+                        return SolveResult::Unsat;
                     }
                     if (value(learnt[0]) == LBool::Undef)
                         enqueue(learnt[0], kNoReason, 0);
                     if (into_assumptions && is_assumption(~learnt[0]))
-                        return Result::Unsat;
+                        return SolveResult::Unsat;
                 } else {
                     const ClauseRef cref =
                         alloc_clause(learnt, /*learnt=*/true, compute_lbd(learnt));
@@ -722,7 +722,7 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                     ++stats_.learnt_clauses;
                     enqueue(learnt[0], cref, bt_level);
                     if (into_assumptions && is_assumption(~learnt[0]))
-                        return Result::Unsat;
+                        return SolveResult::Unsat;
                 }
                 decay_var_activity();
                 decay_clause_activity();
@@ -730,7 +730,7 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
 
             if (stats_.conflicts - last_budget_check >= 1024) {
                 last_budget_check = stats_.conflicts;
-                if (budget_exhausted()) return Result::Unknown;
+                if (budget_exhausted()) return SolveResult::Unknown;
             }
             if (conflicts_this_restart >= conflicts_until_restart) {
                 ++stats_.restarts;
@@ -755,7 +755,8 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
                 new_decision_level();  // already satisfied; dummy level
                 continue;
             }
-            if (v == LBool::False) return Result::Unsat;  // assumptions conflict
+            // The assumptions conflict.
+            if (v == LBool::False) return SolveResult::Unsat;
             new_decision_level();
             enqueue(a, kNoReason, current_level());
             continue;
@@ -767,7 +768,7 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
             for (Var v = 0; v < num_vars(); ++v)
                 model_[static_cast<std::size_t>(v)] = value(v);
             backtrack_to(0);
-            return Result::Sat;
+            return SolveResult::Sat;
         }
         ++stats_.decisions;
         new_decision_level();

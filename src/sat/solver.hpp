@@ -17,7 +17,7 @@
 //  * solve() takes assumptions, enabling the incremental DIP loop without
 //    re-encoding the miter each iteration.
 //  * A resource budget (wall-clock seconds / conflicts); exceeding it
-//    returns Result::Unknown — exactly the "t-o" semantics of Table IV.
+//    returns SolveResult::Unknown — exactly the "t-o" semantics of Table IV.
 //  * One search: the heuristic constants below are fixed, so every
 //    campaign, golden and benchmark runs the same deterministic solver.
 //
@@ -39,8 +39,8 @@
 // one.)
 //
 // Solver is the only implementation of the abstract sat::SolverBackend
-// interface (sat/backend.hpp). The nested Budget/Stats/Result names are
-// aliases for the backend-layer types.
+// interface (sat/backend.hpp), whose SolveResult, SolverBudget and
+// SolverStats it uses.
 
 #include <cstdint>
 #include <cstdlib>
@@ -58,10 +58,6 @@ namespace gshe::sat {
 
 class Solver final : public SolverBackend {
 public:
-    using Result = SolveResult;
-    using Budget = SolverBudget;
-    using Stats = SolverStats;
-
     Solver() = default;
     // Not copyable: arena_ views the block this object owns.
     Solver(const Solver&) = delete;
@@ -80,17 +76,17 @@ public:
     std::size_t num_clauses() const override { return num_clauses_; }
 
     // ---- solving -----------------------------------------------------------
-    Result solve(const std::vector<Lit>& assumptions) override;
+    SolveResult solve(const std::vector<Lit>& assumptions) override;
     using SolverBackend::solve;
 
-    /// Model value after Result::Sat (Undef for never-assigned vars).
+    /// Model value after SolveResult::Sat (Undef for never-assigned vars).
     LBool model_value(Var v) const override {
         return model_.at(static_cast<std::size_t>(v));
     }
 
-    void set_budget(const Budget& b) override { budget_ = b; }
+    void set_budget(const SolverBudget& b) override { budget_ = b; }
     using SolverBackend::set_budget;
-    const Stats& stats() const override { return stats_; }
+    const SolverStats& stats() const override { return stats_; }
 
 private:
     // ---- clause arena --------------------------------------------------------
@@ -231,8 +227,8 @@ private:
     static constexpr int kChronoLevels = 100;
     static constexpr std::int32_t kGlueKeepLbd = 2;     ///< reduce never drops LBD <= this
 
-    Budget budget_;
-    Stats stats_;
+    SolverBudget budget_;
+    SolverStats stats_;
     Timer solve_timer_;
 
     // The arena's block grows with std::realloc, not std::vector's
@@ -294,7 +290,7 @@ private:
 
     std::vector<LBool> model_;  // snapshot of the last satisfying assignment
 
-    Result search(const std::vector<Lit>& assumptions);
+    SolveResult search(const std::vector<Lit>& assumptions);
 
     bool ok_ = true;  // false once root-level conflict is proven
 };

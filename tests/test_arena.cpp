@@ -25,8 +25,6 @@
 namespace gshe::sat {
 namespace {
 
-using Result = Solver::Result;
-
 bool satisfied_by_model(const Solver& s, const Clause& c) {
     for (Lit l : c)
         if (l.negated() ? !s.model_bool(l.var()) : s.model_bool(l.var())) return true;
@@ -91,7 +89,7 @@ TEST(ArenaGc, ReduceCyclesCompactAndKeepAccountingConsistent) {
     Solver s;
     pigeonhole(s, 8);
     const std::size_t original = s.num_clauses();
-    ASSERT_EQ(s.solve(), Result::Unsat);
+    ASSERT_EQ(s.solve(), SolveResult::Unsat);
     EXPECT_GT(s.stats().gc_runs, 0u);
     EXPECT_GT(s.stats().removed_clauses, 0u);
     // The only clauses added after `original` are learnts and the only
@@ -105,11 +103,11 @@ TEST(ArenaGc, NumClausesNeverCountsTombstones) {
     Solver s;
     random_3sat_200(s);
     const std::size_t before = s.num_clauses();
-    ASSERT_EQ(s.solve(), Result::Sat);
+    ASSERT_EQ(s.solve(), SolveResult::Sat);
     EXPECT_GT(s.stats().gc_runs, 0u);
     // A second solve walks the compacted arena and reduces again on its
     // first conflicts (the learnt count is past the first threshold).
-    ASSERT_EQ(s.solve(), Result::Sat);
+    ASSERT_EQ(s.solve(), SolveResult::Sat);
     // num_clauses counts live clauses only: `before` plus the learnts that
     // survived, whether or not a compaction has reclaimed the tombstones.
     EXPECT_EQ(s.num_clauses(),
@@ -119,7 +117,7 @@ TEST(ArenaGc, NumClausesNeverCountsTombstones) {
 TEST(ArenaGc, SurvivesRepeatedSolvesWithIncrementalAddsAndAssumptions) {
     Solver s;
     std::vector<Clause> clauses = random_3sat_200(s);
-    ASSERT_EQ(s.solve(), Result::Sat);
+    ASSERT_EQ(s.solve(), SolveResult::Sat);
     ASSERT_GT(s.stats().gc_runs, 0u);
     expect_model_satisfies(s, clauses, -1);
     // The first model witnesses everything added below: each new clause
@@ -143,7 +141,7 @@ TEST(ArenaGc, SurvivesRepeatedSolvesWithIncrementalAddsAndAssumptions) {
         std::vector<Lit> assumptions;
         for (int j = 0; j < 3; ++j)
             assumptions.push_back(agreeing(static_cast<Var>(rng.below(200))));
-        ASSERT_EQ(s.solve(assumptions), Result::Sat) << "round " << round;
+        ASSERT_EQ(s.solve(assumptions), SolveResult::Sat) << "round " << round;
         expect_model_satisfies(s, clauses, round);
         for (Lit a : assumptions)
             ASSERT_TRUE(satisfied_by_model(s, {a})) << "round " << round;
@@ -195,7 +193,8 @@ void camo_miter_rounds(Solver& s) {
     const Encoding e2 = encoder.encode(prot.netlist, e1.pis);
     const Lit guard(s.new_var(), false);
     encoder.add_difference(e1.outs, e2.outs, guard);
-    for (int round = 0; round < 24 && s.solve({guard}) == Result::Sat; ++round) {
+    for (int round = 0; round < 24 && s.solve({guard}) == SolveResult::Sat;
+         ++round) {
         std::vector<bool> x(e1.pis.size());
         for (std::size_t i = 0; i < x.size(); ++i) x[i] = s.model_bool(e1.pis[i]);
         encoder.add_agreements(prot.netlist, {e1.keys, e2.keys}, {x},

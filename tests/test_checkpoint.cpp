@@ -1,9 +1,9 @@
 // Tests for the campaign checkpoint/resume subsystem: journal record
-// round-trips (unknown-field tolerance included), the atomic write-then-
-// rename persistence, and — the core contract — that a campaign interrupted
-// after ANY prefix of jobs and resumed from its journal produces a
-// byte-identical aggregate CSV to an uninterrupted run, at --threads=1 and
-// --threads=8.
+// round-trips (unknown fields and corrupt field values included), the
+// atomic write-then-rename persistence, and — the core contract — that a
+// campaign interrupted after ANY prefix of jobs and resumed from its
+// journal produces a byte-identical aggregate CSV to an uninterrupted run,
+// at --threads=1 and --threads=8.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -322,6 +322,90 @@ TEST(CheckpointRecord, MalformedAndWrongVersionRejected) {
     bad_status.replace(bad_status.find(needle), needle.size(),
                        "\"status\":\"no-such-status\"");
     EXPECT_FALSE(checkpoint::decode_record(bad_status).has_value());
+}
+
+/// A scalar member of a JSON document: its dotted path ("result.index")
+/// and the byte range of its value.
+struct ScalarField {
+    std::string path;
+    std::size_t begin = 0;
+    std::size_t end = 0;  ///< one past the value's last byte
+};
+
+/// Every scalar member of a JsonWriter document (no whitespace, no arrays
+/// of objects), in document order.
+std::vector<ScalarField> scalar_fields(const std::string& doc) {
+    const auto closing_quote = [&](std::size_t open) {
+        std::size_t i = open + 1;
+        while (doc[i] != '"') i += doc[i] == '\\' ? 2 : 1;
+        return i;
+    };
+    std::vector<ScalarField> fields;
+    std::vector<std::string> objects;  // names of the enclosing objects
+    std::string name;
+    for (std::size_t i = 0; i < doc.size(); ++i) {
+        if (doc[i] == '"') {
+            const std::size_t close = closing_quote(i);
+            name = doc.substr(i + 1, close - i - 1);
+            i = close;
+        } else if (doc[i] == '}' && !objects.empty()) {
+            objects.pop_back();
+        } else if (doc[i] == ':' && doc[i + 1] == '{') {
+            objects.push_back(name);
+        } else if (doc[i] == ':') {
+            std::string path;
+            for (const auto& object : objects) path += object + '.';
+            const std::size_t begin = i + 1;
+            const std::size_t end = doc[begin] == '"'
+                                        ? closing_quote(begin) + 1
+                                        : doc.find_first_of(",}]", begin);
+            fields.push_back({path + name, begin, end});
+            i = end - 1;
+        }
+    }
+    return fields;
+}
+
+TEST(CheckpointRecord, CorruptFieldValuesDecodeOrAreRejectedNeverThrow) {
+    // Every scalar of a stamped v5 record — spec, result and stamp — takes
+    // each wrong type and out-of-range number in turn. The reader falls
+    // back to the field's default, except where a record cannot be used:
+    // a version other than 5, a job key that is not a number, an unknown
+    // status, and a recovered key that is not a string of 0/1 bits.
+    const checkpoint::ShardStamp stamp{0x1234abcd5678ef90ULL, 24, 1, 2};
+    const std::string good = checkpoint::encode_record(
+        0xfeedULL, sample_spec(), sample_result(), stamp);
+    const std::vector<ScalarField> fields = scalar_fields(good);
+    ASSERT_EQ(fields.size(), 75u);
+    const auto rejected = [](const std::string& path, const std::string& value) {
+        if (path == "v" || path == "result.attack_result.status") return true;
+        if (path == "key") return value.find_first_of("-0123456789") != 0;
+        if (path == "result.attack_result.key") return value[0] == '"';
+        return false;
+    };
+    std::size_t decoded = 0;
+    for (const ScalarField& field : fields) {
+        for (const std::string value :
+             {"\"junk\"", "0.5", "null", "{}", "[]", "-1", "1e999",
+              "18446744073709551616"}) {
+            std::string line = good;
+            line.replace(field.begin, field.end - field.begin, value);
+            std::optional<checkpoint::Record> record;
+            EXPECT_NO_THROW(record = checkpoint::decode_record(line)) << line;
+            EXPECT_EQ(record.has_value(), !rejected(field.path, value))
+                << field.path << " = " << value;
+            decoded += record.has_value();
+        }
+    }
+    // Rejected: all 8 values of the version and of the status, the 4
+    // non-numbers as the job key, and the string as the recovered key.
+    EXPECT_EQ(decoded, 8 * fields.size() - 8 - 8 - 4 - 1);
+
+    // A recovered key must be bits.
+    std::string bad_key = good;
+    const std::string bits = "\"key\":\"1011\"";
+    bad_key.replace(bad_key.find(bits), bits.size(), "\"key\":\"10x1\"");
+    EXPECT_FALSE(checkpoint::decode_record(bad_key).has_value());
 }
 
 TEST(CheckpointRecord, OlderVersionLinesAreSkippedOnLoad) {

@@ -391,8 +391,8 @@ TEST(Report, CampaignCsvHasOneRowPerJobAndNoTimingByDefault) {
     EXPECT_NE(campaign_csv(res, /*include_timing=*/true).find("job_seconds"),
               std::string::npos);
     const std::string json = campaign_json(res);
-    EXPECT_NE(json.find("\"jobs\":["), std::string::npos);
-    EXPECT_NE(json.find("\"oracle\":{\"calls\""), std::string::npos);
+    EXPECT_NE(json.find("\"jobs\":[{\"index\":0,"), std::string::npos);
+    EXPECT_NE(json.find("\"oracle_stats\":{\"calls\""), std::string::npos);
     EXPECT_FALSE(campaign_summary(res).empty());
 }
 

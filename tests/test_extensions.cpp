@@ -337,6 +337,15 @@ TEST(SarLock, Validation) {
     const auto nl = sarlock_base(4);
     EXPECT_THROW(camo::apply_sarlock(nl, 0, 1), std::invalid_argument);
     EXPECT_THROW(camo::apply_sarlock(nl, 99, 1), std::invalid_argument);
+    try {
+        camo::apply_sarlock(nl, 5, 1);
+        ADD_FAILURE() << "5 bits on 4 primary inputs";
+    } catch (const std::invalid_argument& e) {
+        // Both counts, so a campaign's error column says what to change.
+        EXPECT_NE(std::string(e.what()).find("m_bits = 5"), std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("4 primary inputs"),
+                  std::string::npos);
+    }
 }
 
 }  // namespace

@@ -17,8 +17,6 @@
 namespace gshe::sat {
 namespace {
 
-using Result = Solver::Result;
-
 // ---- Lit / types ---------------------------------------------------------------
 
 TEST(Lit, PackingAndNegation) {
@@ -42,7 +40,7 @@ TEST(LBool, Negation) {
 
 TEST(Solver, EmptyFormulaIsSat) {
     Solver s;
-    EXPECT_EQ(s.solve(), Result::Sat);
+    EXPECT_EQ(s.solve(), SolveResult::Sat);
 }
 
 TEST(Solver, UnitPropagationChain) {
@@ -51,7 +49,7 @@ TEST(Solver, UnitPropagationChain) {
     s.add_clause(Lit(a, false));
     s.add_clause(Lit(a, true), Lit(b, false));
     s.add_clause(Lit(b, true), Lit(c, false));
-    ASSERT_EQ(s.solve(), Result::Sat);
+    ASSERT_EQ(s.solve(), SolveResult::Sat);
     EXPECT_TRUE(s.model_bool(a));
     EXPECT_TRUE(s.model_bool(b));
     EXPECT_TRUE(s.model_bool(c));
@@ -62,21 +60,21 @@ TEST(Solver, ContradictingUnitsAreUnsat) {
     const Var a = s.new_var();
     EXPECT_TRUE(s.add_clause(Lit(a, false)));
     EXPECT_FALSE(s.add_clause(Lit(a, true)));
-    EXPECT_EQ(s.solve(), Result::Unsat);
+    EXPECT_EQ(s.solve(), SolveResult::Unsat);
 }
 
 TEST(Solver, TautologyIgnored) {
     Solver s;
     const Var a = s.new_var();
     EXPECT_TRUE(s.add_clause(Clause{Lit(a, false), Lit(a, true)}));
-    EXPECT_EQ(s.solve(), Result::Sat);
+    EXPECT_EQ(s.solve(), SolveResult::Sat);
 }
 
 TEST(Solver, DuplicateLiteralsCollapse) {
     Solver s;
     const Var a = s.new_var();
     s.add_clause(Clause{Lit(a, false), Lit(a, false), Lit(a, false)});
-    ASSERT_EQ(s.solve(), Result::Sat);
+    ASSERT_EQ(s.solve(), SolveResult::Sat);
     EXPECT_TRUE(s.model_bool(a));
 }
 
@@ -88,7 +86,7 @@ TEST(Solver, SimpleUnsatCore) {
     s.add_clause(Lit(a, false), Lit(b, true));
     s.add_clause(Lit(a, true), Lit(b, false));
     s.add_clause(Lit(a, true), Lit(b, true));
-    EXPECT_EQ(s.solve(), Result::Unsat);
+    EXPECT_EQ(s.solve(), SolveResult::Unsat);
 }
 
 TEST(Solver, XorChainSatisfiable) {
@@ -108,7 +106,7 @@ TEST(Solver, XorChainSatisfiable) {
     Var acc = xs[0];
     for (int i = 1; i < 10; ++i) acc = add_xor(acc, xs[i]);
     s.add_clause(Lit(acc, false));
-    ASSERT_EQ(s.solve(), Result::Sat);
+    ASSERT_EQ(s.solve(), SolveResult::Sat);
     bool parity = false;
     for (Var v : xs) parity ^= s.model_bool(v);
     EXPECT_TRUE(parity);
@@ -130,7 +128,7 @@ TEST(Solver, PigeonholeUnsat) {
         for (int p1 = 0; p1 < pigeons; ++p1)
             for (int p2 = p1 + 1; p2 < pigeons; ++p2)
                 s.add_clause(Lit(x[p1][h], true), Lit(x[p2][h], true));
-    EXPECT_EQ(s.solve(), Result::Unsat);
+    EXPECT_EQ(s.solve(), SolveResult::Unsat);
     EXPECT_GT(s.stats().conflicts, 10u);
 }
 
@@ -138,13 +136,13 @@ TEST(Solver, AssumptionsSelectBranches) {
     Solver s;
     const Var a = s.new_var(), b = s.new_var();
     s.add_clause(Lit(a, false), Lit(b, false));  // a | b
-    ASSERT_EQ(s.solve({Lit(a, true)}), Result::Sat);  // assume !a
+    ASSERT_EQ(s.solve({Lit(a, true)}), SolveResult::Sat);  // assume !a
     EXPECT_TRUE(s.model_bool(b));
-    ASSERT_EQ(s.solve({Lit(b, true)}), Result::Sat);  // assume !b
+    ASSERT_EQ(s.solve({Lit(b, true)}), SolveResult::Sat);  // assume !b
     EXPECT_TRUE(s.model_bool(a));
-    EXPECT_EQ(s.solve({Lit(a, true), Lit(b, true)}), Result::Unsat);
+    EXPECT_EQ(s.solve({Lit(a, true), Lit(b, true)}), SolveResult::Unsat);
     // The solver remains usable after assumption-UNSAT.
-    EXPECT_EQ(s.solve(), Result::Sat);
+    EXPECT_EQ(s.solve(), SolveResult::Sat);
 }
 
 TEST(Solver, AssumptionsContradictoryOnlyMidSearch) {
@@ -174,23 +172,23 @@ TEST(Solver, AssumptionsContradictoryOnlyMidSearch) {
         for (int p1 = 0; p1 < pigeons; ++p1)
             for (int p2 = p1 + 1; p2 < pigeons; ++p2)
                 guarded(Clause{Lit(x[p1][h], true), Lit(x[p2][h], true)});
-    EXPECT_EQ(s.solve({Lit(g1, false), Lit(g2, false)}), Result::Unsat);
+    EXPECT_EQ(s.solve({Lit(g1, false), Lit(g2, false)}), SolveResult::Unsat);
     EXPECT_GT(s.stats().conflicts, 0u);
     // One guard released: satisfiable again; the solver stays usable.
-    ASSERT_EQ(s.solve({Lit(g1, false)}), Result::Sat);
-    ASSERT_EQ(s.solve(), Result::Sat);
+    ASSERT_EQ(s.solve({Lit(g1, false)}), SolveResult::Sat);
+    ASSERT_EQ(s.solve(), SolveResult::Sat);
 }
 
 TEST(Solver, IncrementalClauseAddition) {
     Solver s;
     const Var a = s.new_var(), b = s.new_var();
     s.add_clause(Lit(a, false), Lit(b, false));
-    ASSERT_EQ(s.solve(), Result::Sat);
+    ASSERT_EQ(s.solve(), SolveResult::Sat);
     s.add_clause(Lit(a, true));
-    ASSERT_EQ(s.solve(), Result::Sat);
+    ASSERT_EQ(s.solve(), SolveResult::Sat);
     EXPECT_TRUE(s.model_bool(b));
     s.add_clause(Lit(b, true));
-    EXPECT_EQ(s.solve(), Result::Unsat);
+    EXPECT_EQ(s.solve(), SolveResult::Unsat);
 }
 
 TEST(Solver, ConflictBudgetReturnsUnknown) {
@@ -209,10 +207,10 @@ TEST(Solver, ConflictBudgetReturnsUnknown) {
         for (int p1 = 0; p1 < pigeons; ++p1)
             for (int p2 = p1 + 1; p2 < pigeons; ++p2)
                 s.add_clause(Lit(x[p1][h], true), Lit(x[p2][h], true));
-    Solver::Budget budget;
+    SolverBudget budget;
     budget.max_conflicts = 1;
     s.set_budget(budget);
-    EXPECT_EQ(s.solve(), Result::Unknown);
+    EXPECT_EQ(s.solve(), SolveResult::Unknown);
 }
 
 TEST(Solver, TimeBudgetReturnsUnknown) {
@@ -230,10 +228,10 @@ TEST(Solver, TimeBudgetReturnsUnknown) {
         for (int p1 = 0; p1 < pigeons; ++p1)
             for (int p2 = p1 + 1; p2 < pigeons; ++p2)
                 s.add_clause(Lit(x[p1][h], true), Lit(x[p2][h], true));
-    Solver::Budget budget;
+    SolverBudget budget;
     budget.max_seconds = 1e-6;
     s.set_budget(budget);
-    EXPECT_EQ(s.solve(), Result::Unknown);
+    EXPECT_EQ(s.solve(), SolveResult::Unknown);
 }
 
 TEST(Solver, StatsAreRecorded) {
@@ -241,7 +239,7 @@ TEST(Solver, StatsAreRecorded) {
     const Var a = s.new_var(), b = s.new_var(), c = s.new_var();
     s.add_clause(Lit(a, false), Lit(b, false), Lit(c, false));
     s.add_clause(Lit(a, true), Lit(b, true));
-    ASSERT_EQ(s.solve(), Result::Sat);
+    ASSERT_EQ(s.solve(), SolveResult::Sat);
     EXPECT_GT(s.stats().decisions + s.stats().propagations, 0u);
 }
 
@@ -289,10 +287,10 @@ TEST(SolverCrossCheck, RandomThreeSatAgreesWithBruteForce) {
                 ok = false;
                 break;
             }
-        const Result r = ok ? s.solve() : Result::Unsat;
+        const SolveResult r = ok ? s.solve() : SolveResult::Unsat;
         const bool expect = brute_force_sat(clauses, nv);
-        ASSERT_EQ(r == Result::Sat, expect) << "trial " << trial;
-        if (r == Result::Sat) {
+        ASSERT_EQ(r == SolveResult::Sat, expect) << "trial " << trial;
+        if (r == SolveResult::Sat) {
             for (const auto& c : clauses) {
                 bool sat = false;
                 for (Lit l : c)
@@ -399,11 +397,11 @@ TEST(ChronoBacktrack, PlantedBlocksMatchBruteForce) {
                                  [&](std::uint32_t m) { return (m & fixed[b]) == want[b]; }))
                     expect_sat = false;
 
-            const Result r = s.solve(assumptions);
-            ASSERT_EQ(r == Result::Sat, expect_sat)
+            const SolveResult r = s.solve(assumptions);
+            ASSERT_EQ(r == SolveResult::Sat, expect_sat)
                 << "formula " << formula << ", solve " << round;
-            if (r != Result::Sat) {
-                ASSERT_EQ(r, Result::Unsat);
+            if (r != SolveResult::Sat) {
+                ASSERT_EQ(r, SolveResult::Unsat);
                 continue;
             }
             const auto model_holds = [&](Lit l) { return s.model_bool(l.var()) != l.negated(); };
@@ -445,7 +443,7 @@ TEST(CircuitEncoder, CamoGateKeySelectsFunction) {
                     Lit(enc.pis[0], va == 0),
                     Lit(enc.pis[1], vb == 0),
                 };
-                ASSERT_EQ(s.solve(assume), Result::Sat);
+                ASSERT_EQ(s.solve(assume), SolveResult::Sat);
                 const Lit out = enc.outs[0];
                 ASSERT_EQ(s.model_bool(out.var()) != out.negated(),
                           cands[code].eval(va != 0, vb != 0))
@@ -454,7 +452,7 @@ TEST(CircuitEncoder, CamoGateKeySelectsFunction) {
     }
     // The unused code 3 is forbidden.
     EXPECT_EQ(s.solve({Lit(enc.keys[0], false), Lit(enc.keys[1], false)}),
-              Result::Unsat);
+              SolveResult::Unsat);
 }
 
 TEST(CircuitEncoder, SharedPisCoupleInstances) {
@@ -472,7 +470,7 @@ TEST(CircuitEncoder, SharedPisCoupleInstances) {
     // Two copies of the same plain circuit on the same inputs can never
     // differ: forcing a difference must be UNSAT.
     encoder.add_difference(e1.outs, e2.outs);
-    EXPECT_EQ(s.solve(), Result::Unsat);
+    EXPECT_EQ(s.solve(), SolveResult::Unsat);
 }
 
 TEST(CircuitEncoder, RejectsSequentialNetlists) {
@@ -506,7 +504,7 @@ TEST(Dimacs, ParsesCommentsAndHeader) {
     ASSERT_EQ(f.clauses.size(), 2u);
     Solver s;
     EXPECT_TRUE(load_into_solver(f, s));
-    ASSERT_EQ(s.solve(), Result::Sat);
+    ASSERT_EQ(s.solve(), SolveResult::Sat);
     EXPECT_TRUE(s.model_bool(1));  // var 2 (1-based) forced true
 }
 

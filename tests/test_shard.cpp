@@ -5,7 +5,8 @@
 // thread count x any kill/resume prefix, merged with merge_journals(),
 // produces a CSV byte-identical to an unsharded --threads=1 run; and that
 // mismatched plans or incomplete shard sets fail loudly with diagnostics
-// naming the offending shard/journal/job.
+// naming the offending shard/journal/job. The JSON report writes each job
+// as its journal result object.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -711,6 +712,65 @@ TEST(ResultSharing, OneWorkerPerLeaderAndErrorsReachTheFollowers) {
         EXPECT_EQ(reported[k + 1], reported[k] + 1);
         EXPECT_EQ(reported[k + 2], reported[k] + 2);
     }
+}
+
+// ---- the JSON report --------------------------------------------------------
+
+TEST(CampaignReport, EachJobIsItsJournalResultObject) {
+    // The report and the journal write a job through one function,
+    // checkpoint::write_result(): a clean job's report element is the
+    // "result" object of its journal line byte for byte, followers of a
+    // shared attack run included. An errored job is reported with its
+    // error and is not journaled.
+    auto jobs = protect_seed_matrix();
+    JobSpec unknown_attack = jobs.front();
+    unknown_attack.attack = "no_such_attack";
+    jobs.push_back(unknown_attack);
+    const std::size_t errored = jobs.size() - 1;
+    ScratchDir scratch("report_schema");
+    const std::string path = scratch.journal(0);
+    const CampaignResult run =
+        CampaignRunner(test_options(2, ShardSpec{}, path)).run(jobs);
+    ASSERT_GT(run.shared, 0u);
+    ASSERT_EQ(run.errored(), 1u);
+    ASSERT_FALSE(run.jobs[errored].error.empty());
+
+    const std::string result_key = ",\"result\":";
+    std::vector<std::string> journaled(jobs.size());
+    for (const auto& record : checkpoint::load_journal(path)) {
+        const std::size_t at = record.line.rfind(result_key) + result_key.size();
+        // The result object is the record's last field.
+        journaled.at(record.result.index) =
+            record.line.substr(at, record.line.size() - at - 1);
+    }
+    EXPECT_TRUE(journaled[errored].empty()) << "errored jobs are not journaled";
+
+    const std::string report = campaign_json(run);
+    const std::string head = "\"jobs\":[";
+    std::size_t pos = report.find(head);
+    ASSERT_NE(pos, std::string::npos);
+    pos += head.size();
+    for (std::size_t i = 0; i < errored; ++i) {
+        ASSERT_FALSE(journaled[i].empty()) << i;
+        ASSERT_EQ(report.compare(pos, journaled[i].size(), journaled[i]), 0)
+            << i;
+        pos += journaled[i].size();
+        ASSERT_EQ(report[pos], ',') << i;
+        ++pos;
+    }
+    // The errored job is the last element, and the journal's reader decodes
+    // it: the error, beside a default attack result.
+    const std::string tail = "]}\n";
+    ASSERT_EQ(report.compare(report.size() - tail.size(), tail.size(), tail), 0);
+    const std::string element =
+        report.substr(pos, report.size() - tail.size() - pos);
+    const auto decoded = checkpoint::decode_record(
+        "{\"v\":" + std::to_string(checkpoint::kJournalVersion) +
+        ",\"key\":0,\"spec\":{},\"result\":" + element + "}");
+    ASSERT_TRUE(decoded.has_value()) << element;
+    EXPECT_EQ(decoded->result.index, errored);
+    EXPECT_EQ(decoded->result.error, run.jobs[errored].error);
+    EXPECT_EQ(decoded->result.result.status, attack::AttackResult{}.status);
 }
 
 }  // namespace

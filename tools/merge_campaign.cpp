@@ -32,7 +32,8 @@ void usage() {
     std::puts(
         "usage: merge_campaign [--key=value ...] JOURNAL...\n"
         "  --csv=PATH   merged CSV destination ('-' = stdout, default)\n"
-        "  --json=PATH  merged full JSON report\n"
+        "  --json=PATH  merged full JSON report: each job is its journal\n"
+        "               result object, in plan order\n"
         "  --timing     add wall-clock columns to the CSV (journaled values;\n"
         "               comparable only within one shard's run)\n"
         "  JOURNAL...   one checkpoint journal per shard, any order\n"

@@ -34,8 +34,9 @@
 //
 // Every attack runs on the in-tree CDCL solver. Matrix values every job
 // would fail on (unknown circuit, defense, library or attack names; a
-// stochastic accuracy outside (0, 1]; sequential corpus circuits) are
-// usage errors, reported before planning.
+// stochastic accuracy outside (0, 1]; more SARLock bits than a circuit has
+// primary inputs; sequential corpus circuits) are usage errors, reported
+// before planning.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -138,7 +139,8 @@ void usage() {
         "                     defense, attack, seed, shard owner) and exit —\n"
         "                     the operator's sharding preview\n"
         "  --csv=PATH         CSV report destination ('-' = stdout, default)\n"
-        "  --json=PATH        full JSON report (includes timing; not\n"
+        "  --json=PATH        full JSON report: each job is its checkpoint\n"
+        "                     journal result object (includes timing; not\n"
         "                     byte-reproducible)\n"
         "  --checkpoint=PATH  journal each finished job to PATH (JSONL,\n"
         "                     atomic write-then-rename) so an interrupted\n"
@@ -151,8 +153,9 @@ void usage() {
         "  --quiet            suppress per-job progress on stderr\n"
         "  --list             list circuits/defenses/libraries/attacks and exit\n"
         "Unknown circuit, defense, library or attack names, an accuracy outside\n"
-        "(0, 1] for a stochastic defense, and sequential circuits (s38584)\n"
-        "are usage errors: exit 2 before planning, --dry-run too.");
+        "(0, 1] for a stochastic defense, --sarlock-bits above a circuit's\n"
+        "primary-input count, and sequential circuits (s38584) are usage\n"
+        "errors: exit 2 before planning, --dry-run too.");
 }
 
 void list_choices() {
@@ -332,6 +335,20 @@ std::string matrix_error(const Cli& cli) {
         return std::string("stochastic accuracy ") + buf +
                " (--accuracy) is outside (0, 1]";
     }
+    // SARLock compares m primary inputs with m key bits. The generated
+    // netlist's count decides (CorpusEntry::paper_inputs is the paper's:
+    // c7552 has 207 there and 100 here), so the circuits are built, and
+    // only when sarlock is in the matrix.
+    if (has_defense([](const std::string& k) { return k == "sarlock"; }))
+        for (const auto& name : cli.circuits) {
+            const std::size_t inputs =
+                netlist::build_benchmark(name).inputs().size();
+            if (inputs < static_cast<std::size_t>(cli.sarlock_bits))
+                return "circuit '" + name + "' has " + std::to_string(inputs) +
+                       " primary inputs, fewer than the " +
+                       std::to_string(cli.sarlock_bits) +
+                       " SARLock compares (--sarlock-bits)";
+        }
     return {};
 }
 

@@ -1,6 +1,7 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 namespace gshe::json {
@@ -16,14 +17,37 @@ double Value::as_double(double fallback) const {
     return std::strtod(scalar_.c_str(), nullptr);
 }
 
+namespace {
+
+/// The number token as an exact T, or nullopt when it has a fraction or an
+/// exponent or lies outside T's range (a sign, for unsigned T).
+template <class T>
+std::optional<T> exact_integer(const std::string& token) {
+    T out{};
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+    if (ec != std::errc{} || ptr != end) return std::nullopt;
+    return out;
+}
+
+}  // namespace
+
 std::uint64_t Value::as_u64(std::uint64_t fallback) const {
-    if (!is_number() || scalar_.empty() || scalar_[0] == '-') return fallback;
-    return std::strtoull(scalar_.c_str(), nullptr, 10);
+    if (!is_number()) return fallback;
+    return exact_integer<std::uint64_t>(scalar_).value_or(fallback);
 }
 
 std::int64_t Value::as_i64(std::int64_t fallback) const {
     if (!is_number()) return fallback;
-    return std::strtoll(scalar_.c_str(), nullptr, 10);
+    return exact_integer<std::int64_t>(scalar_).value_or(fallback);
+}
+
+bool Value::is_u64() const {
+    return is_number() && exact_integer<std::uint64_t>(scalar_).has_value();
+}
+
+bool Value::is_i64() const {
+    return is_number() && exact_integer<std::int64_t>(scalar_).has_value();
 }
 
 const std::string& Value::as_string() const {

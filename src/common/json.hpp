@@ -10,6 +10,9 @@
 //    seed or the UINT64_MAX conflict budget does not fit a double exactly, so
 //    as_u64()/as_i64() reparse the token with integer semantics while
 //    as_double() uses strtod — every journaled value round-trips bit-exactly.
+//    An integer read accepts only a token that is exactly an integer of the
+//    requested type: 0.5, 1e3, -1 (unsigned) or 2^64 read as the fallback,
+//    and is_u64()/is_i64() tell such a token from a representable one.
 //  * Object lookups are by key (find()); unknown keys are simply never looked
 //    at, which is what makes journal records forward compatible.
 
@@ -34,7 +37,12 @@ public:
     bool is_array() const { return type_ == Type::Array; }
     bool is_object() const { return type_ == Type::Object; }
 
-    /// Scalar accessors return the fallback on type mismatch.
+    /// Number tokens that are exactly a decimal integer in the type's range.
+    bool is_u64() const;
+    bool is_i64() const;
+
+    /// Scalar accessors return the fallback on type mismatch, and the
+    /// integer ones also for a number token that is not is_u64()/is_i64().
     bool as_bool(bool fallback = false) const;
     double as_double(double fallback = 0.0) const;
     std::uint64_t as_u64(std::uint64_t fallback = 0) const;

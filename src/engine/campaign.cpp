@@ -111,8 +111,6 @@ bool same_search(const JobSpec& a, const JobSpec& b) {
 
 std::vector<std::size_t> result_leaders(const JobPlan& plan,
                                         const std::vector<std::size_t>& indices) {
-    std::unordered_map<std::size_t, std::size_t> group_size;
-    for (const DefenseGroup& g : plan.groups) group_size[g.id] = g.members.size();
     // Positions in plan order, so the lowest index of a result group leads.
     std::vector<std::size_t> order(indices.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -120,16 +118,19 @@ std::vector<std::size_t> result_leaders(const JobPlan& plan,
         return indices[a] < indices[b];
     });
     std::vector<std::size_t> leader(indices.size());
-    // Per defense group, the positions leading a result group so far.
-    std::unordered_map<std::size_t, std::vector<std::size_t>> leading;
+    // Per netlist, the positions leading a result group so far.
+    std::unordered_map<std::uint64_t, std::vector<std::size_t>> leading;
     for (const std::size_t pos : order) {
         leader[pos] = pos;
         const PlannedJob& job = plan.jobs.at(indices[pos]);
+        const DefenseConfig& defense = job.spec.defense;
         const attack::Attack* attack = attack::find_attack(job.spec.attack);
-        if (group_size[job.group] < 2 || attack == nullptr ||
-            attack->reads_seed())
+        if (attack == nullptr || attack->reads_seed() ||
+            !(DefenseFactory::shareable_oracle(defense) ||
+              DefenseFactory::seed_free_until_rekey(defense)))
             continue;
-        std::vector<std::size_t>& leaders = leading[job.group];
+        std::vector<std::size_t>& leaders = leading[netlist_fingerprint(
+            job.spec.circuit, defense, job.derived_seed)];
         const auto it = std::find_if(
             leaders.begin(), leaders.end(), [&](std::size_t l) {
                 return same_search(plan.jobs[indices[l]].spec, job.spec);
@@ -140,6 +141,10 @@ std::vector<std::size_t> result_leaders(const JobPlan& plan,
             leader[pos] = *it;
     }
     return leader;
+}
+
+bool conditional_copy(const PlannedJob& job) {
+    return !DefenseFactory::shareable_oracle(job.spec.defense);
 }
 
 // ---- aggregator -------------------------------------------------------------
@@ -219,7 +224,8 @@ std::size_t CampaignRunner::resolve_threads(std::size_t jobs) const {
 /// and its oracle service, built once by whichever worker reaches the group
 /// first, shared by every member job this call runs an attack for, and
 /// released when the last of them finishes (so a long campaign holds only
-/// the netlists its in-flight jobs need).
+/// the netlists its in-flight jobs need). A conditional follower's group
+/// is its own, so one copied instead of run leaves nothing built.
 struct CampaignRunner::GroupRuntime {
     const PlannedJob* canonical = nullptr;  ///< the group's first plan member
     std::size_t plan_members = 1;           ///< group size across the whole plan
@@ -234,15 +240,19 @@ struct CampaignRunner::GroupRuntime {
 namespace {
 
 /// A result follower's answer: its leader's JobResult under the follower's
-/// identity. The wall-clock fields are the follower's own: it ran no
-/// attack and made no oracle query, so they read 0 and its memo counters
-/// are empty; oracle_unique, a CSV column, is the leader's.
-JobResult follower_result(const JobResult& leader, const PlannedJob& job) {
+/// identity and oracle group (a conditional follower's group is its own).
+/// The wall-clock fields are the follower's own: it ran no attack and made
+/// no oracle query, so they read 0 and its memo counters are empty;
+/// oracle_unique, a CSV column, is the leader's.
+JobResult follower_result(const JobResult& leader, const PlannedJob& job,
+                          std::size_t group_size) {
     const Timer timer;
     JobResult r = leader;
     r.index = job.index;
     r.spec_seed = job.spec.seed;
     r.derived_seed = job.derived_seed;
+    r.oracle_group = static_cast<std::uint64_t>(job.group);
+    r.oracle_group_size = static_cast<std::uint64_t>(group_size);
     r.result.seconds = 0.0;
     r.oracle_stats.seconds = 0.0;
     r.oracle_cache = {};
@@ -336,7 +346,8 @@ JobResult CampaignRunner::run_job(const PlannedJob& job,
 
 std::vector<JobResult> CampaignRunner::execute(
     const JobPlan& plan, const std::vector<std::size_t>& indices,
-    const std::function<void(const JobResult&)>& on_done) const {
+    const std::function<void(const JobResult&)>& on_done,
+    ExecuteCounts* counts) const {
     for (const std::size_t i : indices)
         if (i >= plan.jobs.size())
             throw std::invalid_argument("execute: plan index " +
@@ -344,23 +355,27 @@ std::vector<JobResult> CampaignRunner::execute(
     std::vector<JobResult> out(indices.size());
 
     // Work items: the positions whose job runs an attack, in `indices`
-    // order, each with the positions that copy its result.
+    // order, each with the positions that copy its result. Conditional
+    // followers also wait in `queued`, behind every work item.
     const std::vector<std::size_t> leader = result_leaders(plan, indices);
     std::vector<std::size_t> items;
+    std::vector<std::size_t> queued;
     std::vector<std::vector<std::size_t>> followers(indices.size());
     for (std::size_t pos = 0; pos < indices.size(); ++pos) {
-        if (leader[pos] == pos)
+        if (leader[pos] == pos) {
             items.push_back(pos);
-        else
-            followers[leader[pos]].push_back(pos);
+            continue;
+        }
+        followers[leader[pos]].push_back(pos);
+        if (conditional_copy(plan.jobs[indices[pos]])) queued.push_back(pos);
     }
-    const std::size_t threads = resolve_threads(items.size());
+    const std::size_t threads = resolve_threads(items.size() + queued.size());
 
     // One GroupRuntime per sharing group with attack runs in this call.
     // Keyed by group id; counts cover only this call (a sharded or resumed
     // run frees an instance as soon as *its* attack runs finish).
     std::unordered_map<std::size_t, std::unique_ptr<GroupRuntime>> groups;
-    for (const std::size_t pos : items) {
+    const auto add_run = [&](std::size_t pos) {
         const std::size_t i = indices[pos];
         const PlannedJob& job = plan.jobs[i];
         auto& slot = groups[job.group];
@@ -378,33 +393,57 @@ std::vector<JobResult> CampaignRunner::execute(
             }
         }
         slot->remaining.fetch_add(1);
-    }
+    };
+    for (const std::size_t pos : items) add_run(pos);
+    for (const std::size_t pos : queued) add_run(pos);
 
     std::atomic<std::size_t> next{0};
-    std::mutex done_mutex;
+    // Guards the second queue, `taken`, the copies and on_done.
+    std::mutex mutex;
+    std::size_t next_queued = 0;
+    std::vector<char> taken(indices.size(), 0);  // a queued follower started or copied
+    std::size_t copies = 0;
+    const auto report = [&](std::size_t pos) {
+        // A throw escaping a worker thread would std::terminate the whole
+        // campaign; progress reporting is not worth that.
+        if (!on_done) return;
+        try {
+            on_done(out[pos]);
+        } catch (...) {
+        }
+    };
     auto worker = [&] {
         while (true) {
-            const std::size_t item = next.fetch_add(1);
-            if (item >= items.size()) break;
-            const std::size_t pos = items[item];
+            std::size_t pos = 0;
+            if (const std::size_t item = next.fetch_add(1); item < items.size()) {
+                pos = items[item];
+            } else {
+                // Nothing else to run: start a queued follower rather than
+                // wait for its leader. Its result equals the copy it would
+                // have got.
+                const std::lock_guard<std::mutex> lock(mutex);
+                while (next_queued < queued.size() && taken[queued[next_queued]])
+                    ++next_queued;
+                if (next_queued == queued.size()) break;
+                pos = queued[next_queued++];
+                taken[pos] = 1;
+            }
             const PlannedJob& job = plan.jobs[indices[pos]];
             out[pos] = run_job(job, *groups.at(job.group));
-            for (const std::size_t f : followers[pos])
-                out[f] = follower_result(out[pos], plan.jobs[indices[f]]);
-            if (on_done) {
-                // Serialized, and a throw escaping a worker thread would
-                // std::terminate the whole campaign; progress reporting is
-                // not worth that. The followers are reported right after
-                // their leader.
-                const std::lock_guard<std::mutex> lock(done_mutex);
-                const auto report = [&](const JobResult& r) {
-                    try {
-                        on_done(r);
-                    } catch (...) {
-                    }
-                };
-                report(out[pos]);
-                for (const std::size_t f : followers[pos]) report(out[f]);
+            const JobResult& led = out[pos];
+            const bool epoch_0 = led.error.empty() && led.oracle_epochs == 0;
+            const std::lock_guard<std::mutex> lock(mutex);
+            report(pos);
+            for (const std::size_t f : followers[pos]) {
+                const PlannedJob& fjob = plan.jobs[indices[f]];
+                if (conditional_copy(fjob)) {
+                    if (taken[f] || !epoch_0) continue;
+                    taken[f] = 1;
+                }
+                out[f] = follower_result(led, fjob,
+                                         groups.at(fjob.group)->plan_members);
+                ++copies;
+                report(f);
             }
         }
     };
@@ -417,6 +456,7 @@ std::vector<JobResult> CampaignRunner::execute(
         for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
         for (auto& t : pool) t.join();
     }
+    if (counts) *counts = {copies, threads};
     return out;
 }
 
@@ -556,11 +596,8 @@ CampaignResult CampaignRunner::run(const JobPlan& plan) const {
         if (options_.on_job_done) options_.on_job_done(r);
     };
 
-    std::vector<JobResult> fresh = execute(plan, pending, on_done);
-    const std::vector<std::size_t> leader = result_leaders(plan, pending);
-    std::size_t shared = 0;
-    for (std::size_t pos = 0; pos < leader.size(); ++pos)
-        if (leader[pos] != pos) ++shared;
+    ExecuteCounts counts;
+    std::vector<JobResult> fresh = execute(plan, pending, on_done, &counts);
 
     // Aggregate: cached + fresh results, packed in matrix order through the
     // same path tools/merge_campaign uses for shard journals.
@@ -569,10 +606,9 @@ CampaignResult CampaignRunner::run(const JobPlan& plan) const {
     for (auto& r : fresh) results.push_back(std::move(r));
 
     CampaignResult out = aggregate_results(
-        std::move(results),
-        static_cast<int>(resolve_threads(pending.size() - shared)),
-        timer.seconds(), resumed, std::move(checkpoint_error));
-    out.shared = shared;
+        std::move(results), static_cast<int>(counts.threads), timer.seconds(),
+        resumed, std::move(checkpoint_error));
+    out.shared = counts.shared;
     out.shard = shard;
     out.plan_size = plan.jobs.size();
     out.plan_fingerprint = plan.fingerprint;

@@ -12,10 +12,10 @@
 //   executor   CampaignRunner::execute() runs an arbitrary index subset of a
 //              plan across a thread pool, building each shared defense
 //              instance once and running each seed-free attack once per
-//              instance (result_leaders()). run() selects the subset from
-//              CampaignOptions::shard (round-robin: shard i of N owns the
-//              indices j with j % N == i) and wires up checkpoint journaling
-//              and resume around it.
+//              shared or epoch-0 instance (result_leaders()). run()
+//              selects the subset from CampaignOptions::shard (round-robin:
+//              shard i of N owns the indices j with j % N == i) and wires
+//              up checkpoint journaling and resume around it.
 //   aggregator aggregate_results() packs per-job results (from a live run OR
 //              from merged shard journals — one shared code path) into a
 //              CampaignResult in matrix order, from which the deterministic
@@ -101,9 +101,10 @@ struct JobResult {
     /// Measured memo counters for this job (scheduling-dependent).
     attack::OracleCacheStats oracle_cache;
 
-    /// Wall clock incl. netlist/defense build. A job answered by a
-    /// sibling's attack run (result_leaders()) measures only the copy, and
-    /// its result.seconds and oracle_stats.seconds read 0.
+    /// Wall clock incl. netlist/defense build. A job answered by a copy of
+    /// a sibling's attack run (result_leaders()) measures only the copy,
+    /// and its result.seconds and oracle_stats.seconds read 0; a follower
+    /// that ran its own attack measures that run.
     double job_seconds = 0.0;
     std::string error;         ///< non-empty: the job threw; result is default
 };
@@ -178,27 +179,44 @@ JobPlan plan_jobs(const std::vector<JobSpec>& specs,
                   std::uint64_t campaign_seed);
 
 /// Result sharing: which job's attack run answers each of `indices`.
-/// Jobs of one multi-member defense group that run the same attack with
-/// AttackOptions equal apart from `seed` form a result group when the
-/// attack ignores the seed (Attack::reads_seed() is false: sat,
-/// double_dip): they would run the identical search on the identical
-/// instance. execute() runs only each result group's lowest plan index in
-/// `indices` (its leader) and gives every other member a copy of the
-/// leader's JobResult under its own identity, its own job_seconds, zero
-/// attack and oracle seconds and empty memo counters. Returns, for each
-/// position of `indices`, the position of its leader (its own for a job
-/// that runs its attack).
+/// Jobs form a result group when they attack one netlist
+/// (netlist_fingerprint()) with the same seed-free attack
+/// (Attack::reads_seed() is false: sat, double_dip) under AttackOptions
+/// equal apart from `seed`, and their oracle cannot tell them apart:
+///   unconditional  the instance is shared (DefenseFactory::
+///                  shareable_oracle()): every member runs the identical
+///                  search against one oracle;
+///   conditional    the oracle is seeded per job but seed-free until its
+///                  first re-key (DefenseFactory::seed_free_until_rekey(),
+///                  dynamic): the members search identically for as long as
+///                  the leader's oracle stays in epoch 0.
+/// The group's lowest plan index in `indices` leads. execute() gives each
+/// unconditional follower a copy of the leader's JobResult. A conditional
+/// follower gets the copy only if its leader finished without an error and
+/// with oracle_epochs == 0 before a worker started the follower; otherwise
+/// it runs its own attack, whose result equals the copy whenever the copy
+/// would have been made. A copy carries the follower's own identity and
+/// oracle group, its own job_seconds, zero attack and oracle seconds and
+/// empty memo counters. Returns, for each position of `indices`, the
+/// position of its leader (its own for a job that leads or runs alone).
 std::vector<std::size_t> result_leaders(const JobPlan& plan,
                                         const std::vector<std::size_t>& indices);
 
+/// Whether `job`, as a result follower, copies its leader only
+/// conditionally (its defense instance is not shared; see result_leaders()).
+bool conditional_copy(const PlannedJob& job);
+
 struct CampaignResult {
     std::vector<JobResult> jobs;  ///< ascending matrix order
+    /// Workers the run started (ExecuteCounts::threads); 0 for a merge.
     int threads = 1;
     double wall_seconds = 0.0;
     /// Jobs satisfied from the checkpoint journal instead of being re-run.
     std::size_t resumed = 0;
     /// Jobs of this run answered by copying a sibling's attack run
-    /// (result_leaders()) instead of running their own.
+    /// (result_leaders()) instead of running their own. Conditional copies
+    /// depend on scheduling, so this count may vary with the thread count;
+    /// the CSV does not.
     std::size_t shared = 0;
     /// Non-empty: journaling failed mid-run (e.g. disk full) and was
     /// disabled; the campaign itself still completed.
@@ -271,6 +289,12 @@ struct CampaignOptions {
     std::size_t oracle_cache_bytes = std::size_t{256} << 20;
 };
 
+/// What one CampaignRunner::execute() call did besides its results.
+struct ExecuteCounts {
+    std::size_t shared = 0;   ///< jobs answered by a copy (CampaignResult::shared)
+    std::size_t threads = 1;  ///< workers started (CampaignResult::threads)
+};
+
 class CampaignRunner {
 public:
     explicit CampaignRunner(CampaignOptions options = {});
@@ -287,15 +311,21 @@ public:
     CampaignResult run(const JobPlan& plan) const;
 
     /// Executor: runs exactly the given plan indices across the thread
-    /// pool, returning their results in the order of `indices`. Only the
-    /// result leaders (result_leaders()) run an attack; each of their
-    /// followers is answered right after its leader. `on_done` (optional)
-    /// fires once per finished job, serialized, from worker threads, a
-    /// leader's followers right after it; exceptions it throws are
-    /// swallowed. No checkpointing here — run() layers that on top.
+    /// pool, returning their results in the order of `indices`. Result
+    /// leaders (result_leaders()) and jobs without one run first, in
+    /// `indices` order. Unconditional followers are answered right after
+    /// their leader. Conditional followers wait in a second queue behind
+    /// every runnable job: a leader that finishes in epoch 0 answers those
+    /// still queued, and an idle worker starts a queued follower rather
+    /// than wait for its leader, so no worker waits on another. `on_done`
+    /// (optional) fires once per finished job, serialized, from worker
+    /// threads, a leader's copies right after it; exceptions it throws are
+    /// swallowed. `counts` (optional) receives the copies made and the
+    /// workers started. No checkpointing here — run() layers that on top.
     std::vector<JobResult> execute(
         const JobPlan& plan, const std::vector<std::size_t>& indices,
-        const std::function<void(const JobResult&)>& on_done = {}) const;
+        const std::function<void(const JobResult&)>& on_done = {},
+        ExecuteCounts* counts = nullptr) const;
 
     /// The deterministic per-job seed (splitmix64-style mixing of the
     /// campaign seed, the job's matrix index and its spec seed).
@@ -315,10 +345,9 @@ public:
 private:
     struct GroupRuntime;
     JobResult run_job(const PlannedJob& job, GroupRuntime& group) const;
-    /// Worker-pool size for `jobs` runnable jobs: options_.threads
-    /// (0 = all cores), never more threads than jobs, at least 1.
-    /// CampaignResult::threads reports this for the attack runs this call
-    /// made (resumed and shared jobs need no workers).
+    /// Worker-pool size for `jobs` jobs that may run an attack:
+    /// options_.threads (0 = all cores), never more threads than jobs, at
+    /// least 1. Resumed jobs and unconditional followers need no workers.
     std::size_t resolve_threads(std::size_t jobs) const;
 
     CampaignOptions options_;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -80,17 +81,34 @@ std::string key_bits_string(const camo::Key& key) {
 // older (or newer) journal schema load with best-effort fidelity, and
 // unknown fields are never even looked at.
 
-std::uint64_t u64_field(const json::Value& obj, const char* key,
-                        std::uint64_t fallback = 0) {
-    const json::Value* v = obj.find(key);
-    return v ? v->as_u64(fallback) : fallback;
-}
+/// Integer field reads for one decode. A missing field or a token that is
+/// not a number reads as the fallback. A number the field's type cannot
+/// hold exactly (0.5, 1e999, 2^64, -1 in an unsigned field, 2^31 in an
+/// int) clears `ok`, and the decode rejects the whole record: any value
+/// read from it would be a wrong count, while a rejected record's job
+/// simply re-runs.
+struct IntFields {
+    bool ok = true;
 
-std::int64_t i64_field(const json::Value& obj, const char* key,
-                       std::int64_t fallback = 0) {
-    const json::Value* v = obj.find(key);
-    return v ? v->as_i64(fallback) : fallback;
-}
+    std::uint64_t u64(const json::Value& obj, const char* key,
+                      std::uint64_t fallback = 0) {
+        const json::Value* v = obj.find(key);
+        if (v && v->is_number() && !v->is_u64()) ok = false;
+        return v ? v->as_u64(fallback) : fallback;
+    }
+
+    int i32(const json::Value& obj, const char* key, int fallback = 0) {
+        const json::Value* v = obj.find(key);
+        if (!v || !v->is_number()) return fallback;
+        const std::int64_t value = v->as_i64();
+        if (!v->is_i64() || value < std::numeric_limits<int>::min() ||
+            value > std::numeric_limits<int>::max()) {
+            ok = false;
+            return fallback;
+        }
+        return static_cast<int>(value);
+    }
+};
 
 double double_field(const json::Value& obj, const char* key,
                     double fallback = 0.0) {
@@ -111,58 +129,60 @@ std::string string_field(const json::Value& obj, const char* key,
 
 std::optional<JobSpec> spec_from_value(const json::Value& v) {
     if (!v.is_object()) return std::nullopt;
+    IntFields ints;
     JobSpec spec;
     spec.circuit = string_field(v, "circuit");
     spec.attack = string_field(v, "attack", spec.attack);
-    spec.seed = u64_field(v, "seed", spec.seed);
+    spec.seed = ints.u64(v, "seed", spec.seed);
     if (const json::Value* d = v.find("defense"); d && d->is_object()) {
         DefenseConfig& def = spec.defense;
         def.kind = string_field(*d, "kind", def.kind);
         def.library = string_field(*d, "library", def.library);
         def.fraction = double_field(*d, "fraction", def.fraction);
-        def.sarlock_bits = static_cast<int>(
-            i64_field(*d, "sarlock_bits", def.sarlock_bits));
+        def.sarlock_bits = ints.i32(*d, "sarlock_bits", def.sarlock_bits);
         def.accuracy = double_field(*d, "accuracy", def.accuracy);
         def.rekey_interval =
-            u64_field(*d, "rekey_interval", def.rekey_interval);
+            ints.u64(*d, "rekey_interval", def.rekey_interval);
         def.scramble_frac =
             double_field(*d, "scramble_frac", def.scramble_frac);
         def.duty_true = double_field(*d, "duty_true", def.duty_true);
-        if (const json::Value* ps = d->find("protect_seed"))
-            def.protect_seed = ps->as_u64();
+        if (d->find("protect_seed"))
+            def.protect_seed = ints.u64(*d, "protect_seed");
     }
     if (const json::Value* o = v.find("options"); o && o->is_object()) {
         attack::AttackOptions& opt = spec.attack_options;
         opt.timeout_seconds =
             double_field(*o, "timeout_seconds", opt.timeout_seconds);
-        opt.max_conflicts = u64_field(*o, "max_conflicts", opt.max_conflicts);
+        opt.max_conflicts = ints.u64(*o, "max_conflicts", opt.max_conflicts);
         opt.max_iterations = static_cast<std::size_t>(
-            u64_field(*o, "max_iterations", opt.max_iterations));
-        opt.seed = u64_field(*o, "seed", opt.seed);
+            ints.u64(*o, "max_iterations", opt.max_iterations));
+        opt.seed = ints.u64(*o, "seed", opt.seed);
         opt.verify_patterns = static_cast<std::size_t>(
-            u64_field(*o, "verify_patterns", opt.verify_patterns));
-        opt.verify_seed = u64_field(*o, "verify_seed", opt.verify_seed);
+            ints.u64(*o, "verify_patterns", opt.verify_patterns));
+        opt.verify_seed = ints.u64(*o, "verify_seed", opt.verify_seed);
         opt.appsat_error_threshold = double_field(
             *o, "appsat_error_threshold", opt.appsat_error_threshold);
     }
+    if (!ints.ok) return std::nullopt;
     return spec;
 }
 
 std::optional<JobResult> result_from_value(const json::Value& v) {
     if (!v.is_object()) return std::nullopt;
+    IntFields ints;
     JobResult r;
-    r.index = static_cast<std::size_t>(u64_field(v, "index"));
+    r.index = static_cast<std::size_t>(ints.u64(v, "index"));
     r.circuit = string_field(v, "circuit");
     r.defense = string_field(v, "defense");
     r.attack = string_field(v, "attack");
-    r.spec_seed = u64_field(v, "spec_seed");
-    r.derived_seed = u64_field(v, "derived_seed");
+    r.spec_seed = ints.u64(v, "spec_seed");
+    r.derived_seed = ints.u64(v, "derived_seed");
     r.protected_cells = static_cast<std::size_t>(
-        u64_field(v, "protected_cells"));
-    r.key_bits = static_cast<int>(i64_field(v, "key_bits"));
+        ints.u64(v, "protected_cells"));
+    r.key_bits = ints.i32(v, "key_bits");
     r.error = string_field(v, "error");
     r.job_seconds = double_field(v, "job_seconds");
-    r.oracle_epochs = u64_field(v, "oracle_epochs");
+    r.oracle_epochs = ints.u64(v, "oracle_epochs");
 
     const json::Value* a = v.find("attack_result");
     if (!a || !a->is_object()) return std::nullopt;
@@ -175,55 +195,56 @@ std::optional<JobResult> result_from_value(const json::Value& v) {
         r.result.key.bits.push_back(c == '1');
     }
     r.result.iterations =
-        static_cast<std::size_t>(u64_field(*a, "iterations"));
+        static_cast<std::size_t>(ints.u64(*a, "iterations"));
     r.result.seconds = double_field(*a, "seconds");
-    r.result.oracle_patterns = u64_field(*a, "oracle_patterns");
+    r.result.oracle_patterns = ints.u64(*a, "oracle_patterns");
     r.result.key_error_rate =
         double_field(*a, "key_error_rate", r.result.key_error_rate);
     r.result.key_exact = bool_field(*a, "key_exact", false);
     if (const json::Value* s = a->find("solver"); s && s->is_object()) {
-        r.result.solver_stats.decisions = u64_field(*s, "decisions");
-        r.result.solver_stats.propagations = u64_field(*s, "propagations");
-        r.result.solver_stats.conflicts = u64_field(*s, "conflicts");
-        r.result.solver_stats.restarts = u64_field(*s, "restarts");
-        r.result.solver_stats.learnt_clauses = u64_field(*s, "learnt_clauses");
+        r.result.solver_stats.decisions = ints.u64(*s, "decisions");
+        r.result.solver_stats.propagations = ints.u64(*s, "propagations");
+        r.result.solver_stats.conflicts = ints.u64(*s, "conflicts");
+        r.result.solver_stats.restarts = ints.u64(*s, "restarts");
+        r.result.solver_stats.learnt_clauses = ints.u64(*s, "learnt_clauses");
         r.result.solver_stats.removed_clauses =
-            u64_field(*s, "removed_clauses");
+            ints.u64(*s, "removed_clauses");
         r.result.solver_stats.chrono_backtracks =
-            u64_field(*s, "chrono_backtracks", 0);
-        r.result.solver_stats.gc_runs = u64_field(*s, "gc_runs", 0);
+            ints.u64(*s, "chrono_backtracks", 0);
+        r.result.solver_stats.gc_runs = ints.u64(*s, "gc_runs", 0);
     }
     if (const json::Value* e = a->find("encoder_stats"); e && e->is_object()) {
         sat::EncoderStats& es = r.result.encoder_stats;
-        es.vars = u64_field(*e, "vars", 0);
-        es.clauses = u64_field(*e, "clauses", 0);
-        es.gates_folded = u64_field(*e, "gates_folded", 0);
-        es.hash_hits = u64_field(*e, "hash_hits", 0);
-        es.agreements = u64_field(*e, "agreements", 0);
-        es.agreement_vars = u64_field(*e, "agreement_vars", 0);
-        es.agreement_clauses = u64_field(*e, "agreement_clauses", 0);
-        es.cone_gates = u64_field(*e, "cone_gates", 0);
-        es.sim_gates = u64_field(*e, "sim_gates", 0);
+        es.vars = ints.u64(*e, "vars", 0);
+        es.clauses = ints.u64(*e, "clauses", 0);
+        es.gates_folded = ints.u64(*e, "gates_folded", 0);
+        es.hash_hits = ints.u64(*e, "hash_hits", 0);
+        es.agreements = ints.u64(*e, "agreements", 0);
+        es.agreement_vars = ints.u64(*e, "agreement_vars", 0);
+        es.agreement_clauses = ints.u64(*e, "agreement_clauses", 0);
+        es.cone_gates = ints.u64(*e, "cone_gates", 0);
+        es.sim_gates = ints.u64(*e, "sim_gates", 0);
     }
-    r.result.inplace_extractions = u64_field(*a, "inplace_extractions", 0);
+    r.result.inplace_extractions = ints.u64(*a, "inplace_extractions", 0);
     if (const json::Value* o = v.find("oracle_stats"); o && o->is_object()) {
-        r.oracle_stats.calls = u64_field(*o, "calls");
-        r.oracle_stats.single_calls = u64_field(*o, "single_calls");
-        r.oracle_stats.patterns = u64_field(*o, "patterns");
+        r.oracle_stats.calls = ints.u64(*o, "calls");
+        r.oracle_stats.single_calls = ints.u64(*o, "single_calls");
+        r.oracle_stats.patterns = ints.u64(*o, "patterns");
         r.oracle_stats.seconds = double_field(*o, "seconds");
     }
     r.oracle_contract = string_field(v, "oracle_contract");
-    r.oracle_group = u64_field(v, "oracle_group");
-    r.oracle_group_size = u64_field(v, "oracle_group_size", 1);
-    r.oracle_unique = u64_field(v, "oracle_unique");
+    r.oracle_group = ints.u64(v, "oracle_group");
+    r.oracle_group_size = ints.u64(v, "oracle_group_size", 1);
+    r.oracle_unique = ints.u64(v, "oracle_unique");
     if (const json::Value* c = v.find("oracle_cache"); c && c->is_object()) {
         r.oracle_cache_enabled = bool_field(*c, "enabled", false);
-        r.oracle_cache.hits = u64_field(*c, "hits");
-        r.oracle_cache.misses = u64_field(*c, "misses");
-        r.oracle_cache.bypassed = u64_field(*c, "bypassed");
-        r.oracle_cache.unique_patterns = u64_field(*c, "unique_patterns");
-        r.oracle_cache.inserted_bytes = u64_field(*c, "inserted_bytes");
+        r.oracle_cache.hits = ints.u64(*c, "hits");
+        r.oracle_cache.misses = ints.u64(*c, "misses");
+        r.oracle_cache.bypassed = ints.u64(*c, "bypassed");
+        r.oracle_cache.unique_patterns = ints.u64(*c, "unique_patterns");
+        r.oracle_cache.inserted_bytes = ints.u64(*c, "inserted_bytes");
     }
+    if (!ints.ok) return std::nullopt;
     return r;
 }
 
@@ -419,17 +440,18 @@ std::optional<Record> decode_record(const std::string& line) {
     const json::Value* key = doc->find("key");
     const json::Value* spec = doc->find("spec");
     const json::Value* result = doc->find("result");
-    if (!key || !key->is_number() || !spec || !result) return std::nullopt;
+    if (!key || !key->is_u64() || !spec || !result) return std::nullopt;
 
     Record record;
     record.key = key->as_u64();
-    record.stamp.plan_fingerprint = u64_field(*doc, "plan");
-    record.stamp.plan_size = u64_field(*doc, "plan_size");
-    record.stamp.shard_index = u64_field(*doc, "shard");
-    record.stamp.shard_total = u64_field(*doc, "shards", 1);
+    IntFields ints;
+    record.stamp.plan_fingerprint = ints.u64(*doc, "plan");
+    record.stamp.plan_size = ints.u64(*doc, "plan_size");
+    record.stamp.shard_index = ints.u64(*doc, "shard");
+    record.stamp.shard_total = ints.u64(*doc, "shards", 1);
     auto decoded_spec = spec_from_value(*spec);
     auto decoded_result = result_from_value(*result);
-    if (!decoded_spec || !decoded_result) return std::nullopt;
+    if (!ints.ok || !decoded_spec || !decoded_result) return std::nullopt;
     record.spec = std::move(*decoded_spec);
     record.result = std::move(*decoded_result);
     record.line = line;

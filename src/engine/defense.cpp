@@ -30,6 +30,30 @@ DefenseInstance from_protection(std::string label, camo::Protection prot) {
     return inst;
 }
 
+/// Every input that shapes the built netlist, as hash material. Explicit
+/// (not label(), which omits fields like scramble_frac) so two configs
+/// hash equal iff build() would produce identical netlists.
+std::string netlist_material(const std::string& circuit,
+                             const DefenseConfig& config,
+                             std::uint64_t derived_seed) {
+    std::string material = "instance:";
+    material += circuit;
+    material += '|';
+    material += config.kind;
+    material += '|';
+    material += config.library;
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "|%.17g|%d|%.17g|", config.fraction,
+                  config.sarlock_bits, config.accuracy);
+    material += buf;
+    material += std::to_string(config.rekey_interval);
+    std::snprintf(buf, sizeof buf, "|%.17g|%.17g|", config.scramble_frac,
+                  config.duty_true);
+    material += buf;
+    material += std::to_string(config.protect_seed.value_or(derived_seed));
+    return material;
+}
+
 }  // namespace
 
 std::string DefenseConfig::label() const {
@@ -98,35 +122,28 @@ bool DefenseFactory::shareable_oracle(const DefenseConfig& config) {
     return config.kind != "stochastic" && config.kind != "dynamic";
 }
 
+bool DefenseFactory::seed_free_until_rekey(const DefenseConfig& config) {
+    return config.kind == "dynamic";
+}
+
+std::uint64_t netlist_fingerprint(const std::string& circuit,
+                                  const DefenseConfig& config,
+                                  std::uint64_t derived_seed) {
+    return fnv1a(netlist_material(circuit, config, derived_seed));
+}
+
 std::uint64_t defense_fingerprint(const std::string& circuit,
                                   const DefenseConfig& config,
                                   std::uint64_t derived_seed,
                                   std::size_t job_index) {
-    // FNV-1a over every input that shapes the built instance. The material
-    // is explicit (not label(), which omits fields like scramble_frac) so
-    // two configs hash equal iff build() would produce identical instances.
-    std::string material = "instance:";
-    material += circuit;
+    if (DefenseFactory::shareable_oracle(config))
+        return netlist_fingerprint(circuit, config, derived_seed);
+    // Seeded-oracle kinds: force a singleton group per plan slot.
+    std::string material = netlist_material(circuit, config, derived_seed);
+    material += "|job";
+    material += std::to_string(job_index);
     material += '|';
-    material += config.kind;
-    material += '|';
-    material += config.library;
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "|%.17g|%d|%.17g|", config.fraction,
-                  config.sarlock_bits, config.accuracy);
-    material += buf;
-    material += std::to_string(config.rekey_interval);
-    std::snprintf(buf, sizeof buf, "|%.17g|%.17g|", config.scramble_frac,
-                  config.duty_true);
-    material += buf;
-    material += std::to_string(config.protect_seed.value_or(derived_seed));
-    if (!DefenseFactory::shareable_oracle(config)) {
-        // Seeded-oracle kinds: force a singleton group per plan slot.
-        material += "|job";
-        material += std::to_string(job_index);
-        material += '|';
-        material += std::to_string(derived_seed);
-    }
+    material += std::to_string(derived_seed);
     return fnv1a(material);
 }
 

@@ -90,18 +90,38 @@ public:
     /// across jobs would let scheduling leak between their results.
     static bool shareable_oracle(const DefenseConfig& config);
 
+    /// True when build()'s oracle answers seed-free until its first
+    /// re-keying boundary (dynamic): camo::RekeyingOracle answers every
+    /// epoch-0 query with the true cell functions and first draws on its
+    /// seed when it crosses into epoch 1. Two jobs that attack the same
+    /// netlist with the same seed-free attack therefore ask the same
+    /// queries and get the same answers for as long as the first job stays
+    /// in epoch 0: the engine may copy that job's result to the other
+    /// (engine::result_leaders), but only once it has finished with
+    /// JobResult::oracle_epochs == 0.
+    static bool seed_free_until_rekey(const DefenseConfig& config);
+
     /// The supported kind strings, in documentation order.
     static const std::vector<std::string>& kinds();
 };
 
-/// Identity of the defense instance a job attacks: a hash of the circuit,
+/// Identity of the protected netlist a job attacks: a hash of the circuit,
 /// the full defense configuration and the netlist-build seed the factory
 /// will actually use (DefenseConfig::protect_seed when set, else the job's
-/// derived seed). Jobs with equal fingerprints would build byte-identical
-/// DefenseInstances, so the campaign engine builds one per fingerprint and
-/// shares it. For configs whose oracle is not shareable_oracle() the job's
-/// plan index is mixed in, forcing a singleton group — the instance is
-/// still built through the same path, just never shared.
+/// derived seed). Jobs with equal values build byte-identical netlists and
+/// true keys; their oracles are equal too unless the kind seeds its oracle
+/// per job (stochastic, dynamic).
+std::uint64_t netlist_fingerprint(const std::string& circuit,
+                                  const DefenseConfig& config,
+                                  std::uint64_t derived_seed);
+
+/// Identity of the whole defense instance a job attacks, oracle included.
+/// For shareable_oracle() configs it is netlist_fingerprint(): jobs with
+/// equal fingerprints would build byte-identical DefenseInstances, so the
+/// campaign engine builds one per fingerprint and shares it. For the other
+/// configs the job's plan index and derived seed are mixed in, forcing a
+/// singleton group — the instance is still built through the same path,
+/// just never shared.
 std::uint64_t defense_fingerprint(const std::string& circuit,
                                   const DefenseConfig& config,
                                   std::uint64_t derived_seed,

@@ -368,21 +368,48 @@ std::vector<ScalarField> scalar_fields(const std::string& doc) {
 
 TEST(CheckpointRecord, CorruptFieldValuesDecodeOrAreRejectedNeverThrow) {
     // Every scalar of a stamped v5 record — spec, result and stamp — takes
-    // each wrong type and out-of-range number in turn. The reader falls
-    // back to the field's default, except where a record cannot be used:
-    // a version other than 5, a job key that is not a number, an unknown
-    // status, and a recovered key that is not a string of 0/1 bits.
+    // each wrong type and out-of-range number in turn. A non-number falls
+    // back to the field's default. The record is rejected where it cannot
+    // be used: a version other than 5, a job key that is not a u64, an
+    // unknown status, a recovered key that is not a string of 0/1 bits,
+    // and an integer field holding a number it cannot represent (a
+    // fraction, an overflowing exponent, 2^64, or -1 when unsigned): such
+    // a record would resume a wrong count into the CSV, a rejected one
+    // re-runs its job.
     const checkpoint::ShardStamp stamp{0x1234abcd5678ef90ULL, 24, 1, 2};
     const std::string good = checkpoint::encode_record(
         0xfeedULL, sample_spec(), sample_result(), stamp);
     const std::vector<ScalarField> fields = scalar_fields(good);
     ASSERT_EQ(fields.size(), 75u);
-    const auto rejected = [](const std::string& path, const std::string& value) {
-        if (path == "v" || path == "result.attack_result.status") return true;
-        if (path == "key") return value.find_first_of("-0123456789") != 0;
-        if (path == "result.attack_result.key") return value[0] == '"';
-        return false;
+    // The sample's floating-point fields all hold fractions, so a field
+    // written as bare digits is an integer field.
+    const auto integer = [&](const ScalarField& field) {
+        return good.find_first_not_of("0123456789", field.begin) >= field.end;
     };
+    const auto is_signed = [](const std::string& path) {
+        return path == "spec.defense.sarlock_bits" || path == "result.key_bits";
+    };
+    const auto rejected = [&](const ScalarField& field, const std::string& value) {
+        const std::string& path = field.path;
+        if (path == "v" || path == "key" || path == "result.attack_result.status")
+            return true;
+        if (path == "result.attack_result.key") return value[0] == '"';
+        if (!integer(field)) return false;
+        if (value == "-1") return !is_signed(path);
+        return value == "0.5" || value == "1e999" ||
+               value == "18446744073709551616";
+    };
+    std::size_t unsigned_fields = 0, signed_fields = 0;
+    for (const ScalarField& field : fields)
+        if (integer(field) && field.path != "v" && field.path != "key") {
+            if (is_signed(field.path))
+                ++signed_fields;
+            else
+                ++unsigned_fields;
+        }
+    EXPECT_EQ(unsigned_fields, 48u);
+    EXPECT_EQ(signed_fields, 2u);
+
     std::size_t decoded = 0;
     for (const ScalarField& field : fields) {
         for (const std::string value :
@@ -392,14 +419,23 @@ TEST(CheckpointRecord, CorruptFieldValuesDecodeOrAreRejectedNeverThrow) {
             line.replace(field.begin, field.end - field.begin, value);
             std::optional<checkpoint::Record> record;
             EXPECT_NO_THROW(record = checkpoint::decode_record(line)) << line;
-            EXPECT_EQ(record.has_value(), !rejected(field.path, value))
+            EXPECT_EQ(record.has_value(), !rejected(field, value))
                 << field.path << " = " << value;
             decoded += record.has_value();
         }
     }
-    // Rejected: all 8 values of the version and of the status, the 4
-    // non-numbers as the job key, and the string as the recovered key.
-    EXPECT_EQ(decoded, 8 * fields.size() - 8 - 8 - 4 - 1);
+    // Rejected: all 8 values of the version, the job key and the status,
+    // the string as the recovered key, 4 numbers in each other unsigned
+    // field and 3 in each signed one.
+    EXPECT_EQ(decoded, 8 * fields.size() - 3 * 8 - 1 - 4 * unsigned_fields -
+                           3 * signed_fields);
+
+    // An int field holding a value beyond int's range is rejected too.
+    std::string wide_key_bits = good;
+    const std::string key_bits = "\"key_bits\":24";
+    wide_key_bits.replace(wide_key_bits.find(key_bits), key_bits.size(),
+                          "\"key_bits\":4294967296");
+    EXPECT_FALSE(checkpoint::decode_record(wide_key_bits).has_value());
 
     // A recovered key must be bits.
     std::string bad_key = good;

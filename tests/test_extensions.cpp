@@ -249,6 +249,46 @@ TEST(Rekeying, FastRekeyingDefeatsSatAttack) {
     EXPECT_TRUE(defeated);
 }
 
+TEST(Rekeying, EpochZeroIsSeedFree) {
+    // The campaign engine copies a seed-free attack's result between the
+    // seed replicates of a pinned dynamic instance when the attack never
+    // left epoch 0 (DefenseFactory::seed_free_until_rekey). That holds only
+    // while epoch 0 answers with the true functions and draws nothing from
+    // the oracle's seed; should epoch 0 ever become seeded, this fails
+    // instead of a campaign CSV changing silently.
+    const auto nl = rekey_circuit();
+    const auto prot = camo::apply_camouflage(
+        nl, camo::select_gates(nl, 0.2, 19), camo::gshe16(), 19);
+    const std::uint64_t interval = 8;
+    camo::RekeyingOracle a(prot.netlist, interval, 1.0, 0.1, 21);
+    camo::RekeyingOracle b(prot.netlist, interval, 1.0, 0.1, 22);
+    Rng rng(23);
+    const auto random_query = [&] {
+        std::vector<std::uint64_t> pi(nl.inputs().size());
+        for (auto& w : pi) w = rng();
+        return pi;
+    };
+    for (std::uint64_t q = 0; q < interval; ++q) {
+        const auto pi = random_query();
+        ASSERT_EQ(a.query(pi), b.query(pi)) << "query " << q;
+    }
+    EXPECT_EQ(a.epochs_elapsed(), 0u);
+    EXPECT_EQ(b.epochs_elapsed(), 0u);
+    const auto pi = random_query();
+    a.query(pi);
+    b.query(pi);
+    EXPECT_EQ(a.epochs_elapsed(), 1u);
+    EXPECT_EQ(b.epochs_elapsed(), 1u);
+
+    // From epoch 1 on the seeds do reach the answers.
+    int differing = 0;
+    for (std::uint64_t q = 0; q < 10 * interval; ++q) {
+        const auto later = random_query();
+        if (a.query(later) != b.query(later)) ++differing;
+    }
+    EXPECT_GT(differing, 0);
+}
+
 TEST(Rekeying, ValidatesArguments) {
     const auto nl = rekey_circuit();
     const auto prot = camo::apply_camouflage(

@@ -83,12 +83,34 @@ TEST(JsonEdge, U64MaxRoundTripsThroughWriterAndParser) {
     EXPECT_EQ(v->find("zero")->as_u64(), 0u);
     // The same token read with the wrong signedness falls back, it does
     // not wrap: as_i64 cannot represent UINT64_MAX.
-    EXPECT_EQ(v->find("max")->as_i64(-1), INT64_MAX);  // strtoll saturates
+    EXPECT_EQ(v->find("max")->as_i64(-1), -1);
     // And a negative token never becomes a huge unsigned value.
     const auto neg = json::parse("{\"n\":-5}");
     ASSERT_TRUE(neg.has_value());
     EXPECT_EQ(neg->find("n")->as_u64(7), 7u) << "fallback, not wraparound";
     EXPECT_EQ(neg->find("n")->as_i64(), -5);
+}
+
+TEST(JsonEdge, IntegerReadsAcceptOnlyExactInRangeIntegers) {
+    // A number token that is not exactly an integer of the requested type
+    // reads as the fallback: no truncation at the first non-digit and no
+    // saturation at the type's bound.
+    const auto v = json::parse(
+        "{\"half\":0.5,\"huge\":1e999,\"exp\":1e3,\"two64\":18446744073709551616,"
+        "\"i64min_minus_1\":-9223372036854775809,\"neg\":-1,\"zero\":-0,"
+        "\"str\":\"5\"}");
+    ASSERT_TRUE(v.has_value());
+    for (const char* key : {"half", "huge", "exp", "two64", "str"}) {
+        EXPECT_EQ(v->find(key)->as_u64(7), 7u) << key;
+        EXPECT_EQ(v->find(key)->as_i64(7), 7) << key;
+        EXPECT_FALSE(v->find(key)->is_u64()) << key;
+        EXPECT_FALSE(v->find(key)->is_i64()) << key;
+    }
+    EXPECT_EQ(v->find("i64min_minus_1")->as_i64(7), 7);
+    EXPECT_FALSE(v->find("neg")->is_u64());
+    EXPECT_TRUE(v->find("neg")->is_i64());
+    EXPECT_EQ(v->find("zero")->as_i64(7), 0);
+    EXPECT_EQ(v->find("half")->as_double(), 0.5);  // still a number
 }
 
 TEST(JsonEdge, I64MinRoundTrips) {

@@ -714,6 +714,117 @@ TEST(ResultSharing, OneWorkerPerLeaderAndErrorsReachTheFollowers) {
     }
 }
 
+/// The dynamic defense of Sec. V-C under one pinned gate selection: 2
+/// circuits x dynamic x {sat, double_dip, appsat} x 3 seeds = 18 jobs,
+/// each dynamic job with its own seeded re-keying oracle.
+std::vector<JobSpec> dynamic_matrix(std::uint64_t rekey_interval,
+                                    bool pinned = true) {
+    DefenseConfig dynamic;
+    dynamic.kind = "dynamic";
+    dynamic.fraction = 0.10;
+    dynamic.rekey_interval = rekey_interval;
+    if (pinned) dynamic.protect_seed = 7;
+    AttackOptions opt;
+    opt.timeout_seconds = 600.0;  // generous: the deterministic budget binds
+    opt.max_conflicts = 10000;
+    return CampaignRunner::cross_product({"alpha", "beta"}, {dynamic},
+                                         {"sat", "double_dip", "appsat"},
+                                         {1, 2, 3}, opt);
+}
+
+/// The CSV of `jobs` run as 3 round-robin shards, merged: seeds are the
+/// innermost axis, so every job attacks privately.
+std::string private_csv(const std::vector<JobSpec>& jobs,
+                        const std::string& name) {
+    ScratchDir scratch(name);
+    const MergeReport merged = merge_journals(run_sharded(scratch, jobs, 3, 1));
+    EXPECT_TRUE(merged.ok()) << merged.errors.front();
+    return campaign_csv(merged.result);
+}
+
+TEST(ResultSharing, EpochZeroLeadersAnswerTheirDynamicReplicates) {
+    // Every sat/double_dip leader here finishes inside its first re-keying
+    // interval, so on one worker each of its 2 queued followers copies it.
+    const auto jobs = dynamic_matrix(64);
+    const JobPlan plan = plan_jobs(jobs, CampaignOptions{}.campaign_seed);
+    const auto leaders = result_leaders(plan, all_indices(plan));
+    const CampaignResult run = CampaignRunner(test_options(1)).run(jobs);
+    ASSERT_EQ(run.errored(), 0u);
+    EXPECT_EQ(run.threads, 1);
+    EXPECT_EQ(run.shared, 8u);  // 2 circuits x 2 attacks x 2 followers
+
+    std::size_t followers = 0;
+    for (std::size_t i = 0; i < run.jobs.size(); ++i) {
+        const JobResult& j = run.jobs[i];
+        if (leaders[i] == i) continue;
+        ++followers;
+        const JobResult& leader = run.jobs[leaders[i]];
+        ASSERT_EQ(leader.oracle_epochs, 0u) << "leader " << leaders[i];
+        EXPECT_TRUE(conditional_copy(plan.jobs[i])) << i;
+        EXPECT_EQ(j.oracle_cache.logical(), 0u) << i << " queried nothing";
+        // Its own private instance's group, not its leader's.
+        EXPECT_EQ(j.oracle_group, i) << i;
+        EXPECT_EQ(j.oracle_group_size, 1u) << i;
+        JobResult masked = masked_follower(j, leader);
+        masked.oracle_group = leader.oracle_group;
+        EXPECT_EQ(checkpoint::encode_record(0, jobs[i], masked),
+                  checkpoint::encode_record(0, jobs[i], leader))
+            << i;
+    }
+    EXPECT_EQ(followers, run.shared);
+
+    // Whichever followers idle workers start instead, the CSV is the one
+    // of private runs.
+    const std::string csv = private_csv(jobs, "sharing_dynamic");
+    EXPECT_EQ(campaign_csv(run), csv);
+    const CampaignResult wide = CampaignRunner(test_options(8)).run(jobs);
+    EXPECT_EQ(wide.threads, 8);  // 10 runnable jobs, then 8 queued followers
+    EXPECT_EQ(campaign_csv(wide), csv);
+}
+
+TEST(ResultSharing, LeadersThatCrossAnEpochLeaveTheirReplicatesToRun) {
+    // Re-keying every 2 queries: each leader leaves epoch 0, so its
+    // followers run their own attacks against their own seeded oracles.
+    const auto jobs = dynamic_matrix(2);
+    const JobPlan plan = plan_jobs(jobs, CampaignOptions{}.campaign_seed);
+    const auto leaders = result_leaders(plan, all_indices(plan));
+    const CampaignResult run = CampaignRunner(test_options(1)).run(jobs);
+    ASSERT_EQ(run.errored(), 0u);
+    EXPECT_EQ(run.shared, 0u);
+    std::size_t followers = 0;
+    for (std::size_t i = 0; i < run.jobs.size(); ++i) {
+        if (leaders[i] == i) continue;
+        ++followers;
+        ASSERT_GT(run.jobs[leaders[i]].oracle_epochs, 0u) << leaders[i];
+        EXPECT_GT(run.jobs[i].oracle_cache.logical(), 0u) << i;
+        EXPECT_EQ(run.jobs[i].oracle_group, i) << i;
+    }
+    EXPECT_EQ(followers, 8u);
+    EXPECT_EQ(campaign_csv(run), private_csv(jobs, "sharing_rekeyed"));
+}
+
+TEST(ResultSharing, UnpinnedOrSeedReadingDynamicJobsNeverFollow) {
+    // Per-job gate selections are different netlists, and AppSAT draws its
+    // samples from the seed: neither can reuse another job's run.
+    const JobPlan unpinned =
+        plan_jobs(dynamic_matrix(64, false), CampaignOptions{}.campaign_seed);
+    const auto leaders = result_leaders(unpinned, all_indices(unpinned));
+    for (std::size_t pos = 0; pos < leaders.size(); ++pos)
+        EXPECT_EQ(leaders[pos], pos);
+
+    const JobPlan pinned =
+        plan_jobs(dynamic_matrix(64), CampaignOptions{}.campaign_seed);
+    const auto pinned_leaders = result_leaders(pinned, all_indices(pinned));
+    std::size_t followers = 0;
+    for (std::size_t i = 0; i < pinned.size(); ++i) {
+        if (pinned.jobs[i].spec.attack == "appsat") {
+            EXPECT_EQ(pinned_leaders[i], i);
+        }
+        followers += pinned_leaders[i] != i;
+    }
+    EXPECT_EQ(followers, 8u);
+}
+
 // ---- the JSON report --------------------------------------------------------
 
 TEST(CampaignReport, EachJobIsItsJournalResultObject) {

@@ -125,8 +125,9 @@ void usage() {
         "                     attack identical defense instances share one\n"
         "                     build and one oracle query memo, and the seed\n"
         "                     replicates of a seed-free attack (sat,\n"
-        "                     double_dip) on one instance share one attack\n"
-        "                     run: the CSV is unchanged\n"
+        "                     double_dip) on one netlist share one attack\n"
+        "                     run (on a dynamic instance only if that run\n"
+        "                     never re-keyed): the CSV is unchanged\n"
         "  --oracle-cache=M   query-memo policy: on | off | auto (default\n"
         "                     auto = memo only defense-instance groups with\n"
         "                     more than one job). The deterministic CSV is\n"
@@ -388,10 +389,39 @@ void print_plan(const JobPlan& plan, const ShardSpec& shard) {
                     plan.jobs[g.id].spec.defense.label().c_str(),
                     members.c_str());
     }
+    // The result-sharing preview over this shard's jobs: which seed
+    // replicates copy one attack run. A conditional copy is made only if
+    // its leader's re-keying oracle stays in epoch 0.
+    const std::vector<std::size_t> mine = plan.shard_indices(shard);
+    const std::vector<std::size_t> leader = result_leaders(plan, mine);
+    std::vector<std::string> copied_by(mine.size());
+    std::size_t runs = 0, copies = 0, conditional = 0;
+    for (std::size_t pos = 0; pos < mine.size(); ++pos) {
+        if (leader[pos] == pos) {
+            ++runs;
+            continue;
+        }
+        if (conditional_copy(plan.jobs[mine[pos]]))
+            ++conditional;
+        else
+            ++copies;
+        copied_by[leader[pos]] += ',' + std::to_string(mine[pos]);
+    }
+    std::printf("result groups: %zu attack runs for %zu jobs (%zu copies, %zu "
+                "conditional copies)\n",
+                runs, mine.size(), copies, conditional);
+    for (std::size_t pos = 0; pos < mine.size(); ++pos) {
+        if (copied_by[pos].empty()) continue;
+        const PlannedJob& job = plan.jobs[mine[pos]];
+        std::printf("  leader %-4zu %-28s %-11s jobs %zu%s%s\n", job.index,
+                    job.spec.defense.label().c_str(), job.spec.attack.c_str(),
+                    job.index, copied_by[pos].c_str(),
+                    conditional_copy(job) ? " (conditional)" : "");
+    }
     std::printf("plan: %zu jobs, fingerprint 0x%016llx; shard %s runs %zu\n",
                 plan.size(),
                 static_cast<unsigned long long>(plan.fingerprint),
-                shard.label().c_str(), plan.shard_indices(shard).size());
+                shard.label().c_str(), mine.size());
 }
 
 }  // namespace
